@@ -412,9 +412,6 @@ def _cmd_dem(args: argparse.Namespace) -> int:
     if complaint:
         print(complaint)
         return 2
-    if args.rounds is not None and args.rounds < 1:
-        print(f"--rounds must be at least 1 (got {args.rounds})")
-        return 2
     try:
         (prof,) = _resolve_profile_args(args.profile)
         model = (
@@ -422,13 +419,14 @@ def _cmd_dem(args: argparse.Namespace) -> int:
             if args.rate is not None
             else NoiseModel.preset(args.noise, profile=prof)
         )
+        experiment = MemoryExperiment(
+            distance=args.distance, rounds=args.rounds, basis=args.basis, profile=prof
+        )
     except ValueError as err:
-        # Unknown presets/profiles surface as one-line messages, not tracebacks.
+        # Unknown presets/profiles and bad --rounds surface as one-line
+        # messages, not tracebacks.
         print(err)
         return 2
-    experiment = MemoryExperiment(
-        distance=args.distance, rounds=args.rounds, basis=args.basis, profile=prof
-    )
     t0 = time.perf_counter()
     table = experiment.fault_table(model)
     extract_seconds = time.perf_counter() - t0

@@ -11,6 +11,10 @@ bookkeeping plus the final transversal data labels), and decodes whole
 (weighted union-find by default, over the DEM-built matching graph when a
 noise model is in play).
 
+Each stage — compile, fault table, DEM, then matching graph + decoder and
+frame sampler — is built once per key and only when something asks for it;
+one cached DEM per rate set feeds both the decoding graph and the sampler.
+
 Only the stabilizer sector that checks the tracked logical is decoded: a
 Z-basis memory tracks logical Z, which is flipped by X data errors, which
 fire the Z faces (and symmetrically for X memories).  The complementary
@@ -22,15 +26,15 @@ Two sampling engines share the detector layout: the packed-tableau replay
 reference) and the detector-error-model fast path
 (:meth:`MemoryExperiment.detector_error_model` +
 :meth:`MemoryExperiment.sample_frame`, no tableau at all) — select with
-``run(engine="frame")``, which falls back to the tableau automatically for
-non-Clifford schedules.
+``run(engine="frame")``.  A memory program is ``Prepare`` + ``Measure``,
+which always compiles to a Clifford schedule, so its DEM always extracts.
 """
 
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -41,7 +45,6 @@ from repro.decode.graph import MatchingGraph, build_dem_graph, build_memory_grap
 from repro.estimator.report import LogicalErrorReport
 from repro.sim.batch import BatchResult
 from repro.sim.dem import (
-    DemExtractionError,
     DetectorErrorModel,
     FaultTable,
     PeriodicTemplate,
@@ -54,6 +57,20 @@ from repro.sim.frame import FrameSampler, FrameSamples
 from repro.sim.noise import NoiseModel, NoiseParams
 
 __all__ = ["MemoryExperiment", "memory_cache_key"]
+
+
+def _noise_key(noise: NoiseModel | NoiseParams | None) -> tuple:
+    """Cache identity of a noise model: ``("none",)`` without one, else its
+    :func:`~repro.sim.dem.dem_structure_key` (which channels can fire — the
+    part that shapes the fault table) plus the raw rate values.
+
+    The cosmetic ``params.name`` never enters, so renamed-but-identical
+    models share every cached artifact.
+    """
+    p = noise.params if isinstance(noise, NoiseModel) else noise
+    if p is None:
+        return ("none",)
+    return tuple(dem_structure_key(p)) + (p.p1, p.p2, p.p_prep, p.p_meas, p.t2_us)
 
 
 def memory_cache_key(
@@ -72,13 +89,11 @@ def memory_cache_key(
     keys, exported from here so it stays in lock-step with what a
     :class:`MemoryExperiment` actually computes:
 
-    * ``rounds`` is normalized exactly like :func:`_memory_core` does
+    * ``rounds`` is normalized exactly like :class:`MemoryExperiment` does
       (``None`` means ``max(dx, dz)``), so explicit and defaulted rounds
       share a cache entry;
-    * the noise model enters as its :func:`~repro.sim.dem.dem_structure_key`
-      (which channels can fire — the part that shapes the fault table) plus
-      the raw rate values — but **not** the cosmetic ``params.name``, so
-      renamed-but-identical models hit the same cache entry;
+    * the noise model enters as :func:`_noise_key` — the same identity the
+      in-process DEM cache uses;
     * a non-default hardware profile joins as its canonical
       :attr:`~repro.hardware.profile.HardwareProfile.fingerprint` (physical
       content only, never the profile's name), so two profiles can never
@@ -89,18 +104,7 @@ def memory_cache_key(
       their keys.
     """
     n_rounds = rounds if rounds is not None else max(dx, dz)
-    params = noise.params if isinstance(noise, NoiseModel) else noise
-    if params is None:
-        noise_part: tuple = ("none",)
-    else:
-        noise_part = tuple(dem_structure_key(params)) + (
-            params.p1,
-            params.p2,
-            params.p_prep,
-            params.p_meas,
-            params.t2_us,
-        )
-    key = ("memory", dx, dz, n_rounds, basis) + noise_part
+    key = ("memory", dx, dz, n_rounds, basis) + _noise_key(noise)
     prof = get_profile(profile)
     if prof.fingerprint != DEFAULT_PROFILE.fingerprint:
         key += (("profile", prof.fingerprint),)
@@ -109,18 +113,45 @@ def memory_cache_key(
     return key
 
 
+@dataclass(frozen=True)
+class _Keyed:
+    """An ``lru_cache`` argument that carries ``value`` but is keyed by ``key``
+    alone (a profile by its fingerprint, noise by its structure)."""
+
+    key: object
+    value: object = field(compare=False)
+
+
+@dataclass
+class _DemStage:
+    """One cached DEM plus its matching graph and frame sampler, each built
+    on first use."""
+
+    dem: DetectorErrorModel
+
+    @cached_property
+    def graph(self) -> MatchingGraph:
+        return build_dem_graph(self.dem)
+
+    @cached_property
+    def sampler(self) -> FrameSampler:
+        return FrameSampler(self.dem)
+
+
 @dataclass
 class _MemoryCore:
     """The shareable compile-time state of one memory experiment.
 
     Everything here is a pure function of ``(dx, dz, rounds, basis)`` — the
-    compiled circuit, detector layout, and schedule graph — plus the mutable
-    caches keyed by noise parameters.  Cached per key so repeated
-    :class:`MemoryExperiment` constructions (rate sweeps, CLI invocations,
-    benchmarks) compile each distance at most once per process.
+    compiled circuit, detector layout, and (on first use) schedule graph —
+    plus the mutable stage caches: ``fault_tables`` per noise structure and
+    ``dems`` (one :class:`_DemStage` per rate set, see :func:`_noise_key`).
+    Cached per key so repeated :class:`MemoryExperiment` constructions
+    (rate sweeps, CLI invocations, benchmarks) compile each distance at
+    most once per process.
 
     ``fault_tables`` entries may be lazily-tiled periodic tables (built
-    from the rounds-independent ``_TEMPLATE_CACHE`` below rather than a
+    from the rounds-independent :func:`_periodic_template` rather than a
     walk of this core's own circuit); their contents are bit-identical to
     a full walk either way.
     """
@@ -135,29 +166,27 @@ class _MemoryCore:
     logical_value: object
     observable_labels: list[str]
     detector_labels: list[list[str]]
-    graph: MatchingGraph
     fault_tables: dict = field(default_factory=dict)
-    dem_graphs: dict = field(default_factory=dict)
-    frame_samplers: dict = field(default_factory=dict)
+    dems: dict = field(default_factory=dict)
 
+    @cached_property
+    def graph(self) -> MatchingGraph:
+        """The schedule-built matching graph, built on first use."""
+        return build_memory_graph(
+            [set(p.data_sites.values()) for p in self.faces],
+            self.logical_sites,
+            self.rounds,
+            visit_layers=[
+                {p.data_sites[corner]: layer for layer, corner in p.visits()}
+                for p in self.faces
+            ],
+        )
 
-#: (dx, dz, rounds, basis, profile fingerprint) -> compiled core, LRU-capped.
-_CORE_CACHE: OrderedDict[tuple, _MemoryCore] = OrderedDict()
-_CORE_CACHE_MAX = 32
 
 #: Rounds of the periodic-extraction template compile: the smallest memory
 #: whose replay block carries enough copies for the template's translation
 #: self-check (>= 6; 9 rounds -> 8 copies) with a couple to spare.
 _TEMPLATE_ROUNDS = 9
-
-#: (dx, dz, basis, profile fingerprint, dem_structure_key) ->
-#: :class:`~repro.sim.dem.PeriodicTemplate` or ``None`` (template
-#: construction failed; cached so the failure is only diagnosed once).
-#: Rounds-independent by construction — every experiment over the same
-#: patch/basis/profile/noise-structure shares one entry no matter its
-#: ``rounds``, so changing ``rounds`` never re-walks a circuit.
-_TEMPLATE_CACHE: OrderedDict[tuple, PeriodicTemplate | None] = OrderedDict()
-_TEMPLATE_CACHE_MAX = 16
 
 
 def _periodic_template(
@@ -170,51 +199,44 @@ def _periodic_template(
     """The shared extraction template for one patch/basis/profile/structure.
 
     Compiles a ``_TEMPLATE_ROUNDS``-round memory (through the ordinary
-    ``_memory_core`` cache) and full-walks it exactly once; the resulting
+    :func:`_memory_core` cache) and full-walks it exactly once; the resulting
     :class:`~repro.sim.dem.PeriodicTemplate` then serves every round count
-    via :func:`~repro.sim.dem.extract_fault_table`'s tiling path.
+    via :func:`~repro.sim.dem.extract_fault_table`'s tiling path.  ``None``
+    means template construction failed (cached, so the failure is only
+    diagnosed once).
     """
     profile = get_profile(profile)
-    key = (dx, dz, basis, profile.fingerprint, dem_structure_key(params))
-    if key in _TEMPLATE_CACHE:
-        _TEMPLATE_CACHE.move_to_end(key)
-        return _TEMPLATE_CACHE[key]
-    core = _memory_core(dx, dz, _TEMPLATE_ROUNDS, basis, profile)
-    template = make_periodic_template(
+    structure = dem_structure_key(params)
+    return _build_template(
+        dx, dz, basis, _Keyed(profile.fingerprint, profile), _Keyed(structure, params)
+    )
+
+
+#: Keyed by (dx, dz, basis, profile fingerprint, dem_structure_key) —
+#: rounds-independent by construction, so every experiment over the same
+#: patch/basis/profile/noise structure shares one template no matter its
+#: ``rounds``, and changing ``rounds`` never re-walks a circuit.
+@lru_cache(maxsize=16)
+def _build_template(
+    dx: int, dz: int, basis: str, profile: _Keyed, params: _Keyed
+) -> PeriodicTemplate | None:
+    core = _memory_core(dx, dz, _TEMPLATE_ROUNDS, basis, profile, False)
+    return make_periodic_template(
         core.compiled.circuit,
         core.compiled.initial_occupancy,
-        params,
+        params.value,
         core.detector_labels,
         [core.observable_labels],
     )
-    _TEMPLATE_CACHE[key] = template
-    while len(_TEMPLATE_CACHE) > _TEMPLATE_CACHE_MAX:
-        _TEMPLATE_CACHE.popitem(last=False)
-    return template
 
 
+#: Keyed by (dx, dz, rounds, basis, profile fingerprint, simd); ``rounds``
+#: arrives normalized (``None`` -> ``max(dx, dz)``) so both spellings share.
+@lru_cache(maxsize=32)
 def _memory_core(
-    dx: int,
-    dz: int,
-    rounds: int | None,
-    basis: str,
-    profile: HardwareProfile | None = None,
-    simd: bool = False,
+    dx: int, dz: int, rounds: int, basis: str, profile: _Keyed, simd: bool
 ) -> _MemoryCore:
-    profile = get_profile(profile)
-    key = (
-        dx,
-        dz,
-        rounds if rounds is not None else max(dx, dz),
-        basis,
-        profile.fingerprint,
-    ) + (("simd",) if simd else ())
-    core = _CORE_CACHE.get(key)
-    if core is not None:
-        _CORE_CACHE.move_to_end(key)
-        return core
-
-    compiler = TISCC(dx=dx, dz=dz, tile_rows=1, tile_cols=1, rounds=rounds, profile=profile)
+    compiler = TISCC(dx=dx, dz=dz, tile_rows=1, tile_cols=1, rounds=rounds, profile=profile.value)
     program = [(f"Prepare{basis}", (0, 0)), (f"Measure{basis}", (0, 0))]
     compiled = compiler.compile(program, operation=f"{basis}Memory", simd=simd)
 
@@ -251,16 +273,7 @@ def _memory_core(
                 labels = final_labels[f] + [round_labels[t - 1][f]]
             detector_labels.append(labels)
 
-    graph = build_memory_graph(
-        [set(p.data_sites.values()) for p in faces],
-        logical_sites,
-        n_rounds,
-        visit_layers=[
-            {p.data_sites[corner]: layer for layer, corner in p.visits()}
-            for p in faces
-        ],
-    )
-    core = _MemoryCore(
+    return _MemoryCore(
         compiler=compiler,
         compiled=compiled,
         rounds=n_rounds,
@@ -271,31 +284,27 @@ def _memory_core(
         logical_value=measure_result.value,
         observable_labels=observable_labels,
         detector_labels=detector_labels,
-        graph=graph,
     )
-    _CORE_CACHE[key] = core
-    while len(_CORE_CACHE) > _CORE_CACHE_MAX:
-        _CORE_CACHE.popitem(last=False)
-    return core
 
 
 class MemoryExperiment:
-    """A distance-``d`` memory experiment with a prebuilt decoder.
+    """A distance-``d`` memory experiment, decoded by any registered decoder.
 
     ``basis`` selects the tracked logical: ``"Z"`` prepares |0>, idles for
     ``rounds`` rounds (default ``max(dx, dz)``), measures every data qubit
     in Z, and decodes the Z-face detector graph; ``"X"`` is the transversal
-    dual.  Compilation and graph construction happen once in the
-    constructor; :meth:`run` then samples and decodes arbitrarily many
-    batches against the same compiled circuit.
+    dual.  Compilation happens once in the constructor; :meth:`run` then
+    samples and decodes arbitrarily many batches against the same compiled
+    circuit.
 
     ``decoder`` names the registered decoder (see
     :func:`~repro.decode.base.get_decoder`) used by default; :meth:`run`
     and :meth:`decode_batch` accept a per-call override.  When a noise
     model is in play, decoding runs over the DEM-built matching graph
     (log-likelihood edge weights, cached per parameter set); the
-    schedule-built graph remains on :attr:`graph` as the noise-free
-    cross-check and the fallback for non-Clifford schedules.
+    schedule-built graph on :attr:`graph` decodes noise-free runs and is
+    the cross-check of the DEM construction.  Graphs, DEMs, samplers and
+    decoders are all built on first use, never by the constructor.
     """
 
     def __init__(
@@ -319,20 +328,25 @@ class MemoryExperiment:
             dx = dz = distance
         if dx is None or dz is None:
             raise ValueError("give either distance or both dx and dz")
+        if rounds is not None and rounds < 1:
+            raise ValueError(f"rounds must be at least 1 (got {rounds})")
+        decoder_class(decoder)  # rejects an unknown decoder name up front
         self.basis = basis
         #: Hardware profile the experiment compiles and caches under.
         self.profile = get_profile(profile)
         #: Whether the compiled circuit went through SIMD beam-pass
         #: rescheduling (profile ``simd_*`` fields set the pass's knobs).
         self.simd = simd
-        # Compilation, label extraction, and graph construction are shared
-        # per (dx, dz, rounds, basis) across every instance in the process:
-        # rate sweeps and repeated constructions pay for the compile once.
-        # The shared bundle is treated as immutable — code that mutates
+        # Compilation and label extraction are shared per (dx, dz, rounds,
+        # basis) across every instance in the process: rate sweeps and
+        # repeated constructions pay for the compile once.  The shared
+        # bundle is treated as immutable — code that mutates
         # :attr:`compiled` (e.g. splicing instructions into the circuit)
         # must call :meth:`clear_compile_cache` around the experiment to
         # avoid leaking the mutation into later constructions.
-        core = _memory_core(dx, dz, rounds, basis, self.profile, simd=simd)
+        n_rounds = rounds if rounds is not None else max(dx, dz)
+        fingerprinted = _Keyed(self.profile.fingerprint, self.profile)
+        core = _memory_core(dx, dz, n_rounds, basis, fingerprinted, simd)
         self._core = core
         self.compiler = core.compiler
         self.compiled = core.compiled
@@ -356,24 +370,18 @@ class MemoryExperiment:
         #: rate-independent, so a rate sweep extracts at most once); shared
         #: with every other instance of the same core.
         self._fault_tables: dict[tuple, FaultTable] = core.fault_tables
-        self.graph: MatchingGraph = core.graph
-        #: Default decoder name; validated here by building the schedule-
-        #: graph decoder (kept on :attr:`decoder` for direct use).
+        #: Default decoder name (see :attr:`decoder`).
         self.decoder_name = decoder
-        #: DEM-built matching graphs cached per noise-parameter key.
-        self._dem_graphs: dict[tuple, MatchingGraph] = core.dem_graphs
         #: Sliding-window shape for layout-aware decoders (``None`` means
         #: the decoder's defaults, ``2 * max(dx, dz)`` / ``max(dx, dz)``);
         #: ignored by whole-block decoders.
         self.window = window
         self.commit = commit
-        #: Built decoders cached per (name, graph key) — deliberately
+        #: Built decoders cached per (noise key, name) — deliberately
         #: *per instance*, never on the shared core: decoders carry mutable
         #: scratch state, and the documented way to parallelize is one
         #: experiment (hence one decoder) per worker.
         self._decoders: dict[tuple, Decoder] = {}
-        self.decoder: Decoder = self._build_decoder(decoder, self.graph)
-        self._decoders[self._decoder_key("schedule", decoder)] = self.decoder
 
     @staticmethod
     def clear_compile_cache() -> None:
@@ -382,8 +390,8 @@ class MemoryExperiment:
         Also drops the periodic-extraction template cache, which holds
         references into cached compiles.
         """
-        _CORE_CACHE.clear()
-        _TEMPLATE_CACHE.clear()
+        _memory_core.cache_clear()
+        _build_template.cache_clear()
 
     def cache_key(self, noise: NoiseModel | None = None) -> tuple:
         """This experiment's canonical cache-key components under ``noise``.
@@ -409,6 +417,17 @@ class MemoryExperiment:
     @property
     def dz(self) -> int:
         return self.compiled.dz
+
+    @property
+    def graph(self) -> MatchingGraph:
+        """The schedule-built matching graph, shared by every instance over
+        the same compiled core and built on first access."""
+        return self._core.graph
+
+    @property
+    def decoder(self) -> Decoder:
+        """The default decoder over :attr:`graph`, built on first access."""
+        return self.decoder_for(None)
 
     @property
     def n_detectors(self) -> int:
@@ -491,47 +510,49 @@ class MemoryExperiment:
 
         The underlying :meth:`fault_table` is rounds-independent to build
         for long memories (periodic template tiling, see its docstring for
-        the fallback conditions), and :func:`~repro.sim.dem.build_dem`
+        the full-walk conditions), and :func:`~repro.sim.dem.build_dem`
         folds in the noise rates as one vectorized pass per channel kind —
         both paths bit-identical to the original per-instruction walk.
+
+        The model is built once per rate set and shared (with the matching
+        graph and frame sampler derived from it) by every instance over the
+        same compiled core; ``keep_sources=True`` builds a fresh, uncached
+        model.
         """
-        return build_dem(self.fault_table(noise), noise.params, keep_sources=keep_sources)
+        if keep_sources:
+            return build_dem(self.fault_table(noise), noise.params, keep_sources=True)
+        return self._dem_stage(noise).dem
+
+    def _dem_stage(self, noise: NoiseModel) -> _DemStage:
+        key = _noise_key(noise)
+        stage = self._core.dems.get(key)
+        if stage is None:
+            stage = _DemStage(build_dem(self.fault_table(noise), noise.params))
+            self._core.dems[key] = stage
+        return stage
 
     # ------------------------------------------------------------- decoders
-    @staticmethod
-    def _params_key(noise: NoiseModel) -> tuple:
-        p = noise.params
-        return (p.p1, p.p2, p.p_prep, p.p_meas, p.t2_us)
-
     def matching_graph(self, noise: NoiseModel | None = None) -> MatchingGraph:
-        """The decoding graph for ``noise``: DEM-built and weighted when possible.
+        """The decoding graph for ``noise``: DEM-built and weighted when noisy.
 
-        With a non-trivial noise model the graph is rebuilt from the
+        With a non-trivial noise model the graph is built from the
         :meth:`detector_error_model` (every edge an actual mechanism of the
-        noisy circuit, weighted ``log((1-p)/p)``) and cached per parameter
-        set; without one — or when the schedule cannot be folded into a DEM
-        — the schedule-built :attr:`graph` is returned instead.
+        noisy circuit, weighted ``log((1-p)/p)``) and cached with it per
+        parameter set; without one the schedule-built :attr:`graph` is
+        returned instead.
         """
         if noise is None or noise.is_trivial:
             return self.graph
-        key = self._params_key(noise)
-        cached = self._dem_graphs.get(key)
-        if cached is None:
-            try:
-                cached = build_dem_graph(self.detector_error_model(noise))
-            except DemExtractionError:
-                cached = self.graph  # non-Clifford schedule: legacy fallback
-            self._dem_graphs[key] = cached
-        return cached
+        return self._dem_stage(noise).graph
 
-    def _decoder_key(self, graph_key, name: str) -> tuple:
-        """Cache key of one built decoder.
+    def _decoder_key(self, noise: NoiseModel | None, name: str) -> tuple:
+        """Cache key of one built decoder: ``(_noise_key(noise), name)``.
 
         Layout-aware decoders additionally key on the experiment's window
         shape, so two experiments over the same core that differ only in
         ``(window, commit)`` never share an instance.
         """
-        key: tuple = (graph_key, name)
+        key: tuple = (_noise_key(noise), name)
         if decoder_class(name).wants_layout:
             key += (self.window, self.commit)
         return key
@@ -556,51 +577,36 @@ class MemoryExperiment:
 
         Raises :class:`ValueError` when the selected graph's detector count
         disagrees with this experiment's :attr:`n_detectors` — a mismatch
-        would otherwise decode garbage silently.  The guard runs *before*
-        the freshly built decoder enters the cache (a rejected decoder used
-        to be cached anyway, wedging every later call with the same key)
-        and again on cache hits, so externally injected instances are
-        checked too.
+        would otherwise decode garbage silently.  The guard runs on every
+        call *before* the decoder enters the cache, so a rejected decoder is
+        never cached (which would wedge every later call with the same key)
+        and externally injected instances are checked too.
         """
         name = decoder if decoder is not None else self.decoder_name
-        graph = self.matching_graph(noise)
-        key = self._decoder_key(
-            "schedule" if graph is self.graph else self._params_key(noise), name
-        )
+        key = self._decoder_key(noise, name)
         built = self._decoders.get(key)
         if built is None:
-            built = self._build_decoder(name, graph)
-            if built.graph.n_detectors != self.n_detectors:
-                raise ValueError(
-                    f"decoder graph has {built.graph.n_detectors} detectors but "
-                    f"this experiment produces {self.n_detectors}; the decoder "
-                    "was built for a different detector layout"
-                )
-            self._decoders[key] = built
-        elif built.graph.n_detectors != self.n_detectors:
+            built = self._build_decoder(name, self.matching_graph(noise))
+        if built.graph.n_detectors != self.n_detectors:
             raise ValueError(
                 f"decoder graph has {built.graph.n_detectors} detectors but "
                 f"this experiment produces {self.n_detectors}; the decoder "
                 "was built for a different detector layout"
             )
+        self._decoders[key] = built
         return built
 
     def frame_sampler(self, noise: NoiseModel | None = None) -> FrameSampler:
         """The cached :class:`FrameSampler` for ``noise``.
 
-        Samplers are pure functions of the detector error model, so they are
-        cached per noise-parameter key on the shared core alongside
-        ``_dem_graphs`` — repeated :meth:`sample_frame` / :meth:`run` calls
-        (shot-sharded sweeps especially) stop rebuilding the sampler's index
-        arrays on every call.
+        Samplers are pure functions of the detector error model, so each is
+        cached with its model per parameter set on the shared core —
+        repeated :meth:`sample_frame` / :meth:`run` calls (shot-sharded
+        sweeps especially) stop rebuilding the sampler's index arrays on
+        every call.
         """
         model = noise if noise is not None else NoiseModel.preset("ideal")
-        key = self._params_key(model)
-        sampler = self._core.frame_samplers.get(key)
-        if sampler is None:
-            sampler = FrameSampler(self.detector_error_model(model))
-            self._core.frame_samplers[key] = sampler
-        return sampler
+        return self._dem_stage(model).sampler
 
     def sample_frame(
         self,
@@ -684,11 +690,9 @@ class MemoryExperiment:
         from the detector error model with no tableau at all, decoding each
         ``max_batch`` chunk as it is produced so peak memory stays
         O(max_batch × n_detectors) however many shots are requested.
-        ``"tableau"`` (the constructor-validated default, kept as the
-        reference) replays the packed stabilizer engine per batch; the
-        frame path falls back to it automatically if the schedule cannot be
-        folded into a DEM (non-Clifford instructions).  Per-shot streams
-        make frame results identical for any ``max_batch`` chunking.
+        ``"tableau"`` (the default, kept as the reference) replays the
+        packed stabilizer engine per batch.  Per-shot streams make frame
+        results identical for any ``max_batch`` chunking.
 
         On the frame path *all* randomness is noise randomness, so
         ``noise_seed`` (when given) selects the mechanism-sampling streams
@@ -708,18 +712,17 @@ class MemoryExperiment:
         """
         if engine not in ("frame", "tableau"):
             raise ValueError(f"engine must be 'frame' or 'tableau', got {engine!r}")
+        if n_shots < 1:
+            raise ValueError("need at least one shot")
         if engine == "frame":
-            try:
-                return self._run_frame(
-                    n_shots,
-                    noise,
-                    seed if noise_seed is None else noise_seed,
-                    max_batch,
-                    decoder,
-                    shot_offset,
-                )
-            except DemExtractionError:
-                pass  # automatic fallback to the reference engine
+            return self._run_frame(
+                n_shots,
+                noise,
+                seed if noise_seed is None else noise_seed,
+                max_batch,
+                decoder,
+                shot_offset,
+            )
         if shot_offset:
             raise ValueError(
                 "shot_offset requires the frame engine's per-shot streams; "
@@ -758,15 +761,8 @@ class MemoryExperiment:
         decoder: str | None = None,
         shot_offset: int = 0,
     ) -> LogicalErrorReport:
-        """Frame-engine body of :meth:`run` (DEM built/cached up front).
-
-        Streams: each ``max_batch`` chunk is sampled, decoded, and reduced
-        to integer failure/defect counts before the next chunk is drawn, so
-        peak memory is one chunk's detector matrix — ``max_batch`` really
-        is the memory bound it claims to be (the whole batch used to be
-        concatenated and decoded as one block).  Per-shot seeding makes the
-        counts identical for every chunking.
-        """
+        """Frame-engine body of :meth:`run`: each ``max_batch`` chunk is
+        sampled, decoded and reduced to counts before the next is drawn."""
         sampler = self.frame_sampler(noise)
         dec = self.decoder_for(noise, decoder)
 
@@ -796,7 +792,7 @@ class MemoryExperiment:
             n_shots,
             failures=failures,
             raw_failures=raw_failures,
-            mean_defects=defect_total / n_shots if n_shots else 0.0,
+            mean_defects=defect_total / n_shots,
             sim_seconds=sim_seconds,
             decode_seconds=decode_seconds,
             engine="frame",

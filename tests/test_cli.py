@@ -63,6 +63,13 @@ class TestValidation:
         assert code == 2
         assert "rounds" in out
 
+    def test_bad_rounds_rejected_lfr(self, capsys):
+        code, out = run_cli(
+            capsys, "lfr", "--distances", "3", "--rates", "1e-3", "--shots", "10", "--rounds", "0"
+        )
+        assert code == 2
+        assert out.strip() == "rounds must be at least 1 (got 0)"
+
     @pytest.mark.parametrize("cmd", ["lfr", "dem"])
     def test_unknown_preset_is_one_line_error(self, capsys, cmd):
         args = (

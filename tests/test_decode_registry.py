@@ -19,6 +19,7 @@ from repro.decode import (
     decoder_class,
     get_decoder,
 )
+from repro.decode.memory import _noise_key
 from repro.sim.noise import NoiseModel
 
 
@@ -124,12 +125,13 @@ class TestDetectorCountGuard:
 
     def test_mismatched_decoder_graph_raises(self, exp3):
         wrong = MatchingGraph(3, [DetectorEdge(0, 1), DetectorEdge(2, BOUNDARY)])
-        exp3._decoders[("schedule", "union_find")] = get_decoder("union_find", wrong)
+        key = exp3._decoder_key(None, "union_find")
+        exp3._decoders[key] = get_decoder("union_find", wrong)
         try:
             with pytest.raises(ValueError, match="different detector layout"):
                 exp3.decoder_for(None, "union_find")
         finally:
-            exp3._decoders.pop(("schedule", "union_find"), None)
+            exp3._decoders.pop(key, None)
 
     def test_matching_decoder_graph_accepted(self, exp3):
         dec = exp3.decoder_for(None, "union_find")
@@ -142,20 +144,21 @@ class TestDetectorCountGuard:
         then failed even after the bad graph was gone."""
         exp = MemoryExperiment(distance=3, basis="Z")
         model = NoiseModel.uniform(1e-3)
-        key = exp._params_key(model)
-        wrong = MatchingGraph(3, [DetectorEdge(0, 1), DetectorEdge(2, BOUNDARY)])
-        exp._dem_graphs[key] = wrong
+        key = _noise_key(model)
+        # Override the cached DEM stage's lazily built matching graph.
+        stage = exp._dem_stage(model)
+        stage.graph = MatchingGraph(3, [DetectorEdge(0, 1), DetectorEdge(2, BOUNDARY)])
         try:
             with pytest.raises(ValueError, match="different detector layout"):
                 exp.decoder_for(model, "union_find")
             # The rejected decoder must not have polluted the cache ...
             assert not any(k[0] == key for k in exp._decoders)
             # ... so fixing the graph heals the experiment in place.
-            del exp._dem_graphs[key]
+            del stage.graph
             dec = exp.decoder_for(model, "union_find")
             assert dec.graph.n_detectors == exp.n_detectors
         finally:
-            exp._dem_graphs.pop(key, None)
+            stage.__dict__.pop("graph", None)
 
 
 class TestFrameSamplerCache:
@@ -164,11 +167,11 @@ class TestFrameSamplerCache:
     def test_sample_frame_reuses_sampler(self):
         exp = MemoryExperiment(distance=3, basis="Z")
         model = NoiseModel.uniform(1.7e-3)  # unique rate: cold cache entry
-        assert exp._params_key(model) not in exp._core.frame_samplers
+        assert _noise_key(model) not in exp._core.dems
         first = exp.frame_sampler(model)
         assert exp.frame_sampler(model) is first
         exp.sample_frame(8, noise=model, seed=0)
-        assert exp._core.frame_samplers[exp._params_key(model)] is first
+        assert exp._core.dems[_noise_key(model)].sampler is first
         # A second instance over the same core shares the cached sampler.
         assert MemoryExperiment(distance=3, basis="Z").frame_sampler(model) is first
 

@@ -19,6 +19,7 @@ import pytest
 
 from repro.decode.memory import MemoryExperiment
 from repro.estimator.sweep import logical_error_sweep
+from repro.sim.dem import DemExtractionError
 from repro.sim.frame import FrameSampler
 from repro.sim.noise import NoiseModel
 from repro.util.stats import (
@@ -103,8 +104,10 @@ class TestEngineBehaviour:
         with pytest.raises(ValueError, match="engine"):
             exp3.run(10, engine="statevector")
 
-    def test_non_clifford_falls_back_to_tableau(self):
-        """engine='frame' on a T-injection schedule silently uses the tableau."""
+    def test_non_clifford_frame_run_raises(self):
+        """No silent frame -> tableau fallback: a T-injection spliced into the
+        schedule makes the frame engine fail loudly, while the tableau engine
+        still runs it."""
         from repro.core.compiler import TISCC
         from repro.decode.memory import MemoryExperiment as ME
 
@@ -120,7 +123,9 @@ class TestEngineBehaviour:
             site = exp.compiled.circuit.sorted_instructions()[0].sites[0]
             exp.compiled.circuit.append("Z_pi/8", (site,), t=0.05, duration=0.1)
             assert isinstance(exp.compiler, TISCC)
-            rep = exp.run(20, noise=NoiseModel.uniform(1e-3), seed=1, engine="frame")
+            with pytest.raises(DemExtractionError, match="non-Clifford"):
+                exp.run(20, noise=NoiseModel.uniform(1e-3), seed=1, engine="frame")
+            rep = exp.run(20, seed=1, engine="tableau")
             assert rep.engine == "tableau"
             assert rep.n_shots == 20
         finally:
