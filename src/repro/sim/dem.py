@@ -1,18 +1,20 @@
 """Detector-error-model (DEM) extraction from compiled hardware circuits.
 
-Walks one compiled :class:`~repro.hardware.circuit.HardwareCircuit` *once*,
-enumerating every Pauli fault a :class:`~repro.sim.noise.NoiseModel` could
-inject (the exact channel structure of
+Walks one compiled :class:`~repro.hardware.circuit.HardwareCircuit` forward
+once, enumerating every Pauli fault a :class:`~repro.sim.noise.NoiseModel`
+could inject (the exact channel structure of
 :meth:`NoiseModel.apply_operation_noise`: depolarizing terms after gates,
 mis-preparation flips, classical readout flips, and duration-derived
-dephasing including idle gaps), and conjugates each fault through the
-remaining Clifford schedule as a bit-packed Pauli frame — one bit lane per
-fault site, all lanes propagated together.  A fault's observable effect is
-the set of measurement labels whose outcomes it flips; projected onto a set
-of *detectors* (label sets whose XOR is deterministic in the noiseless
-circuit) and *observables* (deterministic logical readout parities), this
-yields a Stim-style :class:`DetectorErrorModel`: deduplicated error
-mechanisms with probabilities, detector footprints, and observable masks.
+dephasing including idle gaps), then once *backward* with one bit lane per
+*detector* (label set whose XOR is deterministic in the noiseless circuit)
+and per *observable* (deterministic logical readout parity).  The backward
+walk carries, per qubit, the lanes a Pauli X or Z at the current point
+would flip — Stim's error-analyzer approach — so a fault's detector
+footprint and observable flips are read off at its location, and the
+walk's width is the lane count rather than the (much larger) fault-site
+count.  The result is a Stim-style :class:`DetectorErrorModel`:
+deduplicated error mechanisms with probabilities, detector footprints, and
+observable masks.
 
 The DEM is the input to the tableau-free
 :class:`~repro.sim.frame.FrameSampler`, which samples detection events and
@@ -39,6 +41,7 @@ values, so callers sweeping a rate knob can extract the
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +56,6 @@ from repro.sim.interpreter import (
     resolve_qubits,
 )
 from repro.sim.noise import IdleClock, NoiseModel, NoiseParams
-from repro.sim.packed import unpack_bits
 
 __all__ = [
     "DemExtractionError",
@@ -70,6 +72,8 @@ __all__ = [
     "visit_counts",
     "reset_visit_counts",
 ]
+
+_LOG = logging.getLogger(__name__)
 
 # ------------------------------------------------------------ visit counting
 # Every instruction-stream walk bumps these counters by the number of rows it
@@ -108,12 +112,38 @@ _TWO_QUBIT_PAULIS: tuple[tuple[str, str], ...] = tuple(
     ("IXYZ"[k >> 2], "IXYZ"[k & 3]) for k in range(1, 16)
 )
 
-# Pauli-frame conjugation rules for the native Clifford gate set (signs are
-# irrelevant to detector footprints, so only the x/z bit flow matters).
-_FRAME_PHASE = frozenset({"Z_pi/4", "Z_-pi/4"})  # X -> +/-Y: z ^= x
-_FRAME_SQRT_X = frozenset({"X_pi/4", "X_-pi/4"})  # Z -> +/-Y: x ^= z
-_FRAME_SWAP = frozenset({"Y_pi/4", "Y_-pi/4"})  # X <-> +/-Z: swap x, z
-_FRAME_PAULI = frozenset({"X_pi/2", "Y_pi/2", "Z_pi/2"})  # commute up to phase
+#: Two-bit code ``x | z << 1`` of a one-qubit Pauli letter — also the
+#: sensitivity column a fault with that letter reads (see _backward_walk).
+_LETTER = {"X": 1, "Z": 2, "Y": 3}
+_TWO_QUBIT_LETTERS: tuple[tuple[int, int], ...] = tuple(
+    (_LETTER.get(la, 0), _LETTER.get(lb, 0)) for la, lb in _TWO_QUBIT_PAULIS
+)
+
+# Backward-walk op class of every native instruction.  Signs are irrelevant
+# to detector footprints, so a Clifford is just its x/z bit flow.
+_OP_NONE, _OP_MEASURE, _OP_PREP, _OP_PHASE, _OP_SQRT_X, _OP_SWAP, _OP_ZZ = range(7)
+_OP_ACTIVE = (_OP_MEASURE, _OP_PREP, _OP_PHASE, _OP_SQRT_X, _OP_SWAP, _OP_ZZ)
+_OP_OF = {
+    "Load": _OP_NONE,  # occupancy bookkeeping only
+    "Move": _OP_NONE,
+    "X_pi/2": _OP_NONE,  # Paulis commute up to phase
+    "Y_pi/2": _OP_NONE,
+    "Z_pi/2": _OP_NONE,
+    "Prepare_Z": _OP_PREP,
+    "Measure_Z": _OP_MEASURE,
+    "Z_pi/4": _OP_PHASE,  # X -> +/-Y: z ^= x
+    "Z_-pi/4": _OP_PHASE,
+    "X_pi/4": _OP_SQRT_X,  # Z -> +/-Y: x ^= z
+    "X_-pi/4": _OP_SQRT_X,
+    "Y_pi/4": _OP_SWAP,  # X <-> +/-Z: swap x, z
+    "Y_-pi/4": _OP_SWAP,
+    "ZZ": _OP_ZZ,  # z_a ^= x_a ^ x_b, z_b ^= x_a ^ x_b
+}
+
+#: Multipliers of the row hash in _distinct_rows, and its check chunk.
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -161,6 +191,7 @@ class FaultSite:
 #: Small-integer codes for :attr:`FaultSite.kind`, the vectorized-probability
 #: axis of :func:`build_dem` (see :meth:`FaultTable.site_columns`).
 _KIND_CODE = {"gate1": 0, "gate2": 1, "prep": 2, "readout": 3, "dephase": 4, "idle": 5}
+_GATE1, _GATE2, _PREP, _READOUT, _DEPHASE, _IDLE = _KIND_CODE.values()
 
 
 def dem_structure_key(params: NoiseParams) -> tuple[bool, bool, bool, bool, bool]:
@@ -183,8 +214,6 @@ def enumerate_fault_sites(
     circuit: HardwareCircuit,
     initial_occupancy: dict[int, int],
     params: NoiseParams,
-    *,
-    _gap_preds: list[int] | None = None,
 ) -> list[FaultSite]:
     """Every fault location the noise model can populate, in walk order.
 
@@ -192,16 +221,60 @@ def enumerate_fault_sites(
     (Load/Move bookkeeping, idle-gap tracking) without touching any quantum
     state, appending one :class:`FaultSite` per Pauli term of every channel
     whose rate is nonzero.
+    """
+    return _enumerate(circuit, initial_occupancy, params)[0]
 
-    ``_gap_preds`` (internal) collects, for each emitted ``"idle"`` site in
+
+@dataclass
+class _SitePlan:
+    """What the backward walk needs from the enumeration pass, as columns.
+
+    Per row: the qubit-disjoint ``layer`` it belongs to (consecutive rows
+    share a layer until one touches a qubit already used in it) and its
+    first two acted-on qubits ``q0``/``q1`` (``-1`` when absent).  Per
+    site: its ``row``, kind code (see ``_KIND_CODE``), and ``term`` — the
+    injected Pauli packed as ``t_a | t_b << 32`` with ``t = 4 * qubit +
+    letter`` (letter ``x | z << 1``, see ``_LETTER``) and ``0`` for an
+    absent term.
+    """
+
+    n_qubits: int
+    layer: np.ndarray
+    q0: np.ndarray
+    q1: np.ndarray
+    site_row: np.ndarray
+    site_kind: np.ndarray
+    site_term: np.ndarray
+
+
+def _enumerate(
+    circuit: HardwareCircuit,
+    initial_occupancy: dict[int, int],
+    params: NoiseParams,
+    gap_preds: list[int] | None = None,
+) -> tuple[list[FaultSite], _SitePlan]:
+    """:func:`enumerate_fault_sites` plus the columns of its :class:`_SitePlan`.
+
+    ``gap_preds`` (when given) collects, for each emitted ``"idle"`` site in
     order, the sorted-stream row whose end time the gap was measured against
     (``-1`` when the qubit had never been busy) — the provenance the
     periodic extractor needs to recompute idle durations at tiled offsets.
     """
     occupancy, ion_index, n_qubits = init_run_state(circuit, initial_occupancy)
     tracks_idle = params.t2_us is not None
-    idle = IdleClock(n_qubits, track_rows=_gap_preds is not None) if tracks_idle else None
+    idle = IdleClock(n_qubits, track_rows=gap_preds is not None) if tracks_idle else None
     sites: list[FaultSite] = []
+    site_row: list[int] = []
+    site_kind: list[int] = []
+    site_term: list[int] = []
+    q0: list[int] = []
+    q1: list[int] = []
+    row_layer: list[int] = []
+    last_layer = [-1] * n_qubits
+    layer = 0
+    # Pauli tuples are shared between the sites that inject them.
+    one = [{letter: ((q, letter),) for letter in "XYZ"} for q in range(n_qubits)]
+    pairs: dict[tuple[int, int], tuple[tuple, list[int]]] = {}
 
     cols = circuit.sorted_columns()
     _VISIT_COUNTS["enumerate"] += cols.n
@@ -212,16 +285,32 @@ def enumerate_fault_sites(
     for idx in range(cols.n):
         name = names[idx]
         qubits = resolve_qubits(name, qsites[idx], occupancy, ion_index)
+        if qubits:
+            for q in qubits:
+                if last_layer[q] == layer:
+                    layer += 1
+                    break
+            for q in qubits:
+                last_layer[q] = layer
+            q0.append(qubits[0])
+            q1.append(qubits[1] if len(qubits) > 1 else -1)
+        else:
+            q0.append(-1)
+            q1.append(-1)
+        row_layer.append(layer)
 
         if idle is not None:
             for q in qubits:
                 gap = idle.gap_before(q, starts[idx])
                 if gap > 0:
-                    if _gap_preds is not None:
-                        _gap_preds.append(idle.last_row[q])
+                    if gap_preds is not None:
+                        gap_preds.append(idle.last_row[q])
                     sites.append(
-                        FaultSite(idx, "before", "idle", ((q, "Z"),), duration_us=float(gap))
+                        FaultSite(idx, "before", "idle", one[q]["Z"], duration_us=float(gap))
                     )
+                    site_row.append(idx)
+                    site_kind.append(_IDLE)
+                    site_term.append(4 * q + 2)
 
         if name == "Load":
             apply_load(qsites[idx][0], occupancy, ion_index, n_qubits)
@@ -233,23 +322,35 @@ def enumerate_fault_sites(
 
         if name in SINGLE_QUBIT_GATES:
             if params.p1 > 0:
-                for letter in "XYZ":
-                    sites.append(FaultSite(idx, "after", "gate1", ((qubits[0], letter),)))
+                q = qubits[0]
+                for pauli in one[q].values():
+                    sites.append(FaultSite(idx, "after", "gate1", pauli))
+                site_row.extend((idx, idx, idx))
+                site_kind.extend((_GATE1, _GATE1, _GATE1))
+                site_term.extend((4 * q + 1, 4 * q + 3, 4 * q + 2))
         elif name == "ZZ":
             if params.p2 > 0:
-                a, b = qubits
-                for la, lb in _TWO_QUBIT_PAULIS:
-                    ops = tuple(
-                        (q, letter) for q, letter in ((a, la), (b, lb)) if letter != "I"
-                    )
-                    sites.append(FaultSite(idx, "after", "gate2", ops))
+                pair = pairs.get((qubits[0], qubits[1]))
+                if pair is None:
+                    pair = pairs[(qubits[0], qubits[1])] = _two_qubit_terms(*qubits, one)
+                for pauli in pair[0]:
+                    sites.append(FaultSite(idx, "after", "gate2", pauli))
+                site_row.extend([idx] * 15)
+                site_kind.extend([_GATE2] * 15)
+                site_term.extend(pair[1])
         elif name == "Prepare_Z":
             if params.p_prep > 0:
-                sites.append(FaultSite(idx, "after", "prep", ((qubits[0], "X"),)))
+                sites.append(FaultSite(idx, "after", "prep", one[qubits[0]]["X"]))
+                site_row.append(idx)
+                site_kind.append(_PREP)
+                site_term.append(4 * qubits[0] + 1)
         elif name == "Measure_Z":
             if params.p_meas > 0:
                 label = labels.get(idx) or f"m?{idx}"
                 sites.append(FaultSite(idx, "record", "readout", (), label=label))
+                site_row.append(idx)
+                site_kind.append(_READOUT)
+                site_term.append(0)
 
         # Duration-derived dephasing after every timed operation except
         # preparation (no coherence yet) and measurement (unobservable) —
@@ -258,104 +359,243 @@ def enumerate_fault_sites(
             duration = durations[idx]
             for q in qubits:
                 sites.append(
-                    FaultSite(idx, "after", "dephase", ((q, "Z"),), duration_us=duration)
+                    FaultSite(idx, "after", "dephase", one[q]["Z"], duration_us=duration)
                 )
+                site_row.append(idx)
+                site_kind.append(_DEPHASE)
+                site_term.append(4 * q + 2)
 
         if idle is not None:
             idle.mark_busy(qubits, ends[idx], idx)
 
-    return sites
+    plan = _SitePlan(
+        n_qubits=n_qubits,
+        layer=np.array(row_layer, dtype=np.int64),
+        q0=np.array(q0, dtype=np.int64),
+        q1=np.array(q1, dtype=np.int64),
+        site_row=np.array(site_row, dtype=np.int64),
+        site_kind=np.array(site_kind, dtype=np.int8),
+        site_term=np.array(site_term, dtype=np.int64),
+    )
+    return sites, plan
 
 
-def _propagate_frames(
-    circuit: HardwareCircuit,
-    initial_occupancy: dict[int, int],
-    sites: list[FaultSite],
-) -> dict[str, np.ndarray]:
-    """Conjugate every fault site through the remaining Clifford schedule.
+def _two_qubit_terms(a: int, b: int, one: list[dict]) -> tuple[tuple, list[int]]:
+    """The 15 depolarizing Paulis on ``(a, b)``: site tuples and packed terms."""
+    paulis = tuple(
+        one[b][lb] if la == "I" else one[a][la] if lb == "I" else ((a, la), (b, lb))
+        for la, lb in _TWO_QUBIT_PAULIS
+    )
+    terms = [
+        (4 * a + ca if ca else 0) | (4 * b + cb if cb else 0) << 32
+        for ca, cb in _TWO_QUBIT_LETTERS
+    ]
+    return paulis, terms
 
-    One walk over the instruction stream with a bit-packed Pauli frame per
-    site (``(n_qubits, ceil(n_sites/64))`` x/z planes, one bit lane per
-    site): faults are injected at their location, gates transform all lanes
-    at once via the x/z conjugation rules, preparations clear the target
-    qubit's lanes, and measurements record the X plane of the measured
-    qubit — the lanes whose faults flip that outcome label.
 
-    Returns ``label -> (W,) uint64`` flip columns over the site axis.
+def _row_ops(cols) -> np.ndarray:
+    """Per-row op class (``_OP_*``) of the sorted stream.
+
+    Raises :class:`DemExtractionError` at the first row that is
+    non-Clifford or unknown, naming it exactly as a forward walk would.
     """
-    n_sites = len(sites)
-    words = max(1, -(-n_sites // 64))
-    occupancy, ion_index, n_qubits = init_run_state(circuit, initial_occupancy)
-    x = np.zeros((n_qubits, words), dtype=np.uint64)
-    z = np.zeros((n_qubits, words), dtype=np.uint64)
-    label_flips: dict[str, np.ndarray] = {}
-
-    pending: dict[tuple[int, str], list[tuple[int, FaultSite]]] = {}
-    for s, site in enumerate(sites):
-        pending.setdefault((site.index, site.when), []).append((s, site))
-
-    def inject(s: int, site: FaultSite) -> None:
-        w, sh = divmod(s, 64)
-        bit = np.uint64(1) << np.uint64(sh)
-        for q, letter in site.pauli:
-            if letter in ("X", "Y"):
-                x[q, w] ^= bit
-            if letter in ("Z", "Y"):
-                z[q, w] ^= bit
-
-    cols = circuit.sorted_columns()
-    _VISIT_COUNTS["propagate"] += cols.n
-    names, qsites, labels = cols.names, cols.sites, cols.labels
-    for idx in range(cols.n):
-        name = names[idx]
-        qubits = resolve_qubits(name, qsites[idx], occupancy, ion_index)
-        for s, site in pending.get((idx, "before"), ()):
-            inject(s, site)
-
-        if name == "Load":
-            apply_load(qsites[idx][0], occupancy, ion_index, n_qubits)
-        elif name == "Move":
-            apply_move(qsites[idx][0], qsites[idx][1], occupancy)
-        elif name == "Prepare_Z":
-            q = qubits[0]
-            x[q] = 0
-            z[q] = 0
-        elif name == "Measure_Z":
-            label_flips[labels.get(idx) or f"m?{idx}"] = x[qubits[0]].copy()
-        elif name in _FRAME_PHASE:
-            q = qubits[0]
-            z[q] ^= x[q]
-        elif name in _FRAME_SQRT_X:
-            q = qubits[0]
-            x[q] ^= z[q]
-        elif name in _FRAME_SWAP:
-            q = qubits[0]
-            t = x[q].copy()
-            x[q] = z[q]
-            z[q] = t
-        elif name in _FRAME_PAULI:
-            pass
-        elif name == "ZZ":
-            a, b = qubits
-            t = x[a] ^ x[b]
-            z[a] ^= t
-            z[b] ^= t
-        elif name in NON_CLIFFORD_GATES:
+    ops = np.fromiter((_OP_OF.get(name, -1) for name in cols.names), np.int8, count=cols.n)
+    bad = np.flatnonzero(ops < 0)
+    if bad.size:
+        name = cols.names[bad[0]]
+        if name in NON_CLIFFORD_GATES:
             raise DemExtractionError(
                 f"{name} is non-Clifford: its per-shot quasi-Clifford substitutes "
                 "have no fixed fault footprint, so no detector error model exists"
             )
-        else:
-            raise DemExtractionError(f"unknown instruction {name!r} in DEM extraction")
+        raise DemExtractionError(f"unknown instruction {name!r} in DEM extraction")
+    return ops
 
-        for s, site in pending.get((idx, "after"), ()):
-            inject(s, site)
-        for s, site in pending.get((idx, "record"), ()):
-            w, sh = divmod(s, 64)
-            assert site.label is not None
-            label_flips[site.label][w] ^= np.uint64(1) << np.uint64(sh)
 
-    return label_flips
+def _lane_rows(
+    labels: dict[int, str], meas_rows: np.ndarray, lanes: list[list[str]], words: int
+) -> np.ndarray:
+    """``(n_measurements, words)`` lane bits each measurement's outcome feeds.
+
+    Row ``i`` belongs to the ``i``-th measurement of the stream; lane ``l``
+    (a detector, then the observables) holds the measurements its labels
+    name.  A label measured twice resolves to its last measurement, and a
+    label listed twice in one lane cancels — XOR parity semantics.
+    """
+    last_of: dict[str, int] = {}
+    for i, row in enumerate(meas_rows.tolist()):
+        last_of[labels.get(row) or f"m?{row}"] = i
+    meas: list[int] = []
+    lane_ids: list[int] = []
+    for lane, labs in enumerate(lanes):
+        for lab in labs:
+            i = last_of.get(lab)
+            if i is None:
+                raise ValueError(f"detector references unknown measurement label {lab!r}")
+            meas.append(i)
+            lane_ids.append(lane)
+    out = np.zeros((len(meas_rows), words), dtype=np.uint64)
+    lane_arr = np.array(lane_ids, dtype=np.int64)
+    np.bitwise_xor.at(
+        out,
+        (np.array(meas, dtype=np.int64), lane_arr >> 6),
+        np.uint64(1) << (lane_arr & 63).astype(np.uint64),
+    )
+    return out
+
+
+def _backward_walk(
+    cols, plan: _SitePlan, detectors: list[list[str]], observables: list[list[str]]
+) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Detector footprints and observable masks of every enumerated site.
+
+    Walks the sorted stream *backward* with one bit lane per detector and
+    observable.  ``P[q, 1]`` / ``P[q, 2]`` hold qubit ``q``'s z / x
+    *sensitivity*: the lanes a Pauli X / Z on ``q`` at the current point
+    would flip (``P[q, 3]`` is their XOR, for Y; ``P[q, 0]`` stays zero).
+    A measurement XORs its lane row into the measured qubit's z
+    sensitivity, a preparation clears both, and every native Clifford keeps
+    its forward x/z rule — each rule is a GF(2) involution that preserves
+    anticommutation, so it is its own backward step.  A site's footprint is
+    the anticommutation of its Pauli with the sensitivities just before
+    (``"before"``) or after (``"after"``) its row; a readout site takes its
+    measurement's lane row directly.
+
+    Rows go by qubit-disjoint layers, so each op class is one fancy-indexed
+    NumPy op per layer, and site rows are filled per layer into one
+    ``(n_sites, lanes/64)`` array, then deduplicated exactly before being
+    unpacked into footprint tuples.
+    """
+    _VISIT_COUNTS["propagate"] += cols.n
+    ops = _row_ops(cols)
+    lanes = list(detectors) + list(observables)
+    words = max(1, -(-len(lanes) // 64))
+    meas_rows = np.flatnonzero(ops == _OP_MEASURE)
+    lane_rows = _lane_rows(cols.labels, meas_rows, lanes, words)
+    n_sites = len(plan.site_row)
+    if n_sites == 0:
+        return [], np.zeros(0, dtype=np.uint64)
+
+    n_layers = int(plan.layer[-1]) + 1
+    layer_bounds = np.arange(n_layers + 1)
+
+    def by_layer(rows: np.ndarray) -> list[int]:
+        return np.searchsorted(plan.layer[rows], layer_bounds).tolist()
+
+    op_rows = {op: np.flatnonzero(ops == op) for op in _OP_ACTIVE}
+    op_bounds = {op: by_layer(r) for op, r in op_rows.items()}
+    op_q0 = {op: plan.q0[r] for op, r in op_rows.items()}
+    zz_q1 = plan.q1[op_rows[_OP_ZZ]]
+
+    # Site slots in block order: per layer its "before" then its "after"
+    # sites, readouts last; ``perm`` maps slots back to sites.
+    kind = plan.site_kind
+    by_when = 2 * plan.layer[plan.site_row] + (kind != _IDLE)
+    key = np.where(kind == _READOUT, 2 * n_layers, by_when)
+    perm = np.argsort(key, kind="stable")
+    bounds = np.searchsorted(key[perm], np.arange(2 * n_layers + 1)).tolist()
+    term = plan.site_term[perm]
+    term_a = term & 0xFFFFFFFF
+    term_b = term >> 32
+
+    rows = np.empty((n_sites, words), dtype=np.uint64)
+    first_readout = bounds[-1]
+    readout_meas = np.searchsorted(meas_rows, plan.site_row[perm[first_readout:]])
+    np.take(lane_rows, readout_meas, axis=0, out=rows[first_readout:])
+    P = np.zeros((plan.n_qubits, 4, words), dtype=np.uint64)
+    flat = P.reshape(-1, words)
+    sz, sx, sy = P[:, 1], P[:, 2], P[:, 3]
+
+    def fill(lo: int, hi: int) -> None:
+        if lo < hi:
+            np.bitwise_xor(sz, sx, out=sy)
+            block = rows[lo:hi]
+            np.take(flat, term_a[lo:hi], axis=0, out=block)
+            block ^= np.take(flat, term_b[lo:hi], axis=0)
+
+    for lay in range(n_layers - 1, -1, -1):
+        fill(bounds[2 * lay + 1], bounds[2 * lay + 2])
+        for op in _OP_ACTIVE:
+            lo, hi = op_bounds[op][lay], op_bounds[op][lay + 1]
+            if lo == hi:
+                continue
+            q = op_q0[op][lo:hi]
+            if op == _OP_MEASURE:
+                sz[q] ^= lane_rows[lo:hi]
+            elif op == _OP_PREP:
+                P[q, 1:3] = 0
+            elif op == _OP_PHASE:
+                sz[q] ^= sx[q]
+            elif op == _OP_SQRT_X:
+                sx[q] ^= sz[q]
+            elif op == _OP_SWAP:
+                P[q, 1:3] = P[q, 2:0:-1]
+            else:  # _OP_ZZ
+                b = zz_q1[lo:hi]
+                t = sx[q] ^ sx[b]
+                sz[q] ^= t
+                sz[b] ^= t
+        fill(bounds[2 * lay], bounds[2 * lay + 1])
+
+    uniq, inverse = _distinct_rows(rows)
+    footprints_u, obs_u = _unpack_lanes(uniq, len(detectors))
+    site_inverse = np.empty(n_sites, dtype=np.int64)
+    site_inverse[perm] = inverse
+    return list(map(footprints_u.__getitem__, site_inverse.tolist())), obs_u[site_inverse]
+
+
+def _unpack_lanes(uniq: np.ndarray, n_det: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Sorted detector tuples and observable bitmasks of packed lane rows.
+
+    Expands only the nonzero words, so the cost follows the footprint
+    sizes rather than the lane count.
+    """
+    row, word = np.nonzero(uniq)
+    octets = uniq[row, word].astype("<u8").view(np.uint8).reshape(-1, 8)
+    bits = np.unpackbits(octets, axis=1, bitorder="little")
+    hit, bit = np.nonzero(bits)  # row-major: lanes ascend within each row
+    row = row[hit]
+    lane = 64 * word[hit] + bit
+    is_det = lane < n_det
+    det_row = row[is_det]
+    flat_dets = lane[is_det].tolist()
+    footprints: list[tuple[int, ...]] = []
+    pos = 0
+    for count in np.bincount(det_row, minlength=len(uniq)).tolist():
+        footprints.append(tuple(flat_dets[pos : pos + count]))
+        pos += count
+    obs = np.zeros(len(uniq), dtype=np.uint64)
+    obs_bit = (lane[~is_det] - n_det).astype(np.uint64)
+    np.bitwise_or.at(obs, row[~is_det], np.uint64(1) << obs_bit)
+    return footprints, obs
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact ``np.unique(rows, axis=0, return_inverse=True)``, row order aside.
+
+    Groups rows by a 64-bit hash, then checks every row against one
+    representative of its group; a hash collision falls back to a byte-wise
+    unique over a void view.
+    """
+    n, words = rows.shape
+    h = np.zeros(n, dtype=np.uint64)
+    for w in range(words):  # the splitmix64 finalizer, chained over words
+        h ^= rows[:, w]
+        h ^= h >> np.uint64(30)
+        h *= _MIX1
+        h ^= h >> np.uint64(27)
+        h *= _MIX2
+        h ^= h >> np.uint64(31)
+    _, inverse = np.unique(h, return_inverse=True)
+    first = np.empty(inverse.max() + 1, dtype=np.int64)
+    first[inverse] = np.arange(n)
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        if not np.array_equal(rows[lo:hi], rows[first[inverse[lo:hi]]]):
+            void = rows.view(np.dtype((np.void, rows.itemsize * words))).ravel()
+            uniq, inverse = np.unique(void, return_inverse=True)
+            return uniq.view(np.uint64).reshape(-1, words), inverse
+    return rows[first], inverse
 
 
 class FaultTable:
@@ -462,41 +702,6 @@ class FaultTable:
         return {names[int(v)]: int(c) for v, c in zip(values, counts)}
 
 
-def _xor_columns(
-    label_flips: dict[str, np.ndarray], labels: list[str], words: int
-) -> np.ndarray:
-    col = np.zeros(words, dtype=np.uint64)
-    for lab in labels:
-        try:
-            col ^= label_flips[lab]
-        except KeyError:
-            raise ValueError(f"detector references unknown measurement label {lab!r}") from None
-    return col
-
-
-def _project(
-    sites: list[FaultSite],
-    label_flips: dict[str, np.ndarray],
-    detectors: list[list[str]],
-    observables: list[list[str]],
-) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """Project per-site flip columns onto detector footprints + obs masks."""
-    n_sites = len(sites)
-    words = max(1, -(-n_sites // 64))
-
-    footprints: list[list[int]] = [[] for _ in range(n_sites)]
-    for d, labels in enumerate(detectors):
-        col = _xor_columns(label_flips, labels, words)
-        for s in np.nonzero(unpack_bits(col, n_sites))[0] if n_sites else ():
-            footprints[s].append(d)
-    obs_mask = np.zeros(n_sites, dtype=np.uint64)
-    for o, labels in enumerate(observables):
-        col = _xor_columns(label_flips, labels, words)
-        if n_sites:
-            obs_mask[np.nonzero(unpack_bits(col, n_sites))[0]] |= np.uint64(1 << o)
-    return [tuple(fp) for fp in footprints], obs_mask
-
-
 def extract_fault_table(
     circuit: HardwareCircuit,
     initial_occupancy: dict[int, int],
@@ -507,24 +712,32 @@ def extract_fault_table(
     method: str = "auto",
     template: "PeriodicTemplate | None" = None,
 ) -> FaultTable:
-    """Enumerate fault sites and project their flips onto detectors.
+    """Enumerate fault sites and find the detectors each one flips.
 
     ``detectors[d]`` / ``observables[o]`` are measurement-label sets whose
     XOR parity is deterministic in the noiseless circuit; detector ids in
     the resulting table index these lists.
 
+    The full walk makes two passes over the sorted stream: a forward
+    enumeration of the fault sites (tracking occupancy and idle gaps), then
+    one backward walk whose bit lanes are the detectors and observables —
+    each fault's footprint is read off the sensitivities at its location
+    (see :func:`_backward_walk`), so the walk's width is the lane count,
+    not the site count.
+
     ``method`` selects the extraction path: ``"full"`` walks every
-    instruction of the sorted stream (the oracle — kept verbatim),
-    ``"periodic"`` requires the rounds-independent tiling path built from
-    ``template`` (a :func:`make_periodic_template` bundle for the same
+    instruction of the sorted stream, ``"periodic"`` requires the
+    rounds-independent tiling path built from ``template`` (a
+    :func:`make_periodic_template` bundle for the same
     patch/basis/profile/noise structure) and raises
     :class:`DemExtractionError` when its structural preconditions fail,
     and ``"auto"`` (default) uses the periodic path when a template is
-    given and every precondition holds, silently falling back to the full
-    walk otherwise — in particular whenever the compiler's template replay
+    given and every precondition holds, falling back to the full walk
+    otherwise — in particular whenever the compiler's template replay
     itself fell back to round-by-round scheduling (no
-    :class:`~repro.hardware.circuit.ReplayBlock` metadata).  Both paths
-    produce bit-identical tables (``tests/test_dem_periodic.py``).
+    :class:`~repro.hardware.circuit.ReplayBlock` metadata).  Each fallback
+    logs one DEBUG record with its reason on the ``repro.sim.dem`` logger.
+    Both paths produce bit-identical tables (``tests/test_dem_periodic.py``).
     """
     if method not in ("auto", "full", "periodic"):
         raise ValueError(f"method must be 'auto', 'full', or 'periodic', got {method!r}")
@@ -535,23 +748,34 @@ def extract_fault_table(
             and template.observables == observables
         ):
             return template.table  # the target *is* the template compile
-        table = _extract_periodic(
+        tiled = _extract_periodic(
             circuit, initial_occupancy, params, detectors, observables, template
         )
-        if table is not None:
-            return table
+        if isinstance(tiled, FaultTable):
+            return tiled
         if method == "periodic":
             raise DemExtractionError(
-                "periodic extraction preconditions not met for this circuit "
-                "(no single replay block, non-periodic replica region, or "
-                "template/target structure mismatch)"
+                f"periodic extraction preconditions not met for this circuit: {tiled}"
             )
+        _LOG.debug("periodic DEM extraction fell back to the full walk: %s", tiled)
     elif method == "periodic":
         raise DemExtractionError("periodic extraction requires a template")
 
-    sites = enumerate_fault_sites(circuit, initial_occupancy, params)
-    label_flips = _propagate_frames(circuit, initial_occupancy, sites)
-    footprints, obs_mask = _project(sites, label_flips, detectors, observables)
+    sites, plan = _enumerate(circuit, initial_occupancy, params)
+    return _walk_table(circuit, sites, plan, detectors, observables)
+
+
+def _walk_table(
+    circuit: HardwareCircuit,
+    sites: list[FaultSite],
+    plan: _SitePlan,
+    detectors: list[list[str]],
+    observables: list[list[str]],
+) -> FaultTable:
+    """The full-walk :class:`FaultTable` of enumerated ``sites``."""
+    footprints, obs_mask = _backward_walk(
+        circuit.sorted_columns(), plan, detectors, observables
+    )
     return FaultTable(
         sites=sites,
         footprints=footprints,
@@ -869,20 +1093,10 @@ def make_periodic_template(
     if geom is None or geom["C"] < 6:
         return None
     gap_preds: list[int] | None = [] if params.t2_us is not None else None
-    sites = enumerate_fault_sites(
-        circuit, initial_occupancy, params, _gap_preds=gap_preds
-    )
+    sites, plan = _enumerate(circuit, initial_occupancy, params, gap_preds)
     if not sites:
         return None  # nothing to tile; the full walk is free anyway
-    label_flips = _propagate_frames(circuit, initial_occupancy, sites)
-    footprints, obs_mask = _project(sites, label_flips, detectors, observables)
-    table = FaultTable(
-        sites=sites,
-        footprints=footprints,
-        observables=obs_mask,
-        n_detectors=len(detectors),
-        n_observables=len(observables),
-    )
+    table = _walk_table(circuit, sites, plan, detectors, observables)
     template = PeriodicTemplate(
         circuit,
         initial_occupancy,
@@ -1092,22 +1306,22 @@ def _extract_periodic(
     detectors: list[list[str]],
     observables: list[list[str]],
     template: PeriodicTemplate,
-) -> FaultTable | None:
-    """Tile a template's fault table onto ``circuit``, or ``None``.
+) -> FaultTable | str:
+    """Tile a template's fault table onto ``circuit``, or say why not.
 
     Every structural precondition is verified against the target's own
     columns before anything is trusted (see :func:`_verify_periodic`); any
-    violation returns ``None`` and the caller falls back to the full walk.
+    violation returns its reason and the caller falls back to the full walk.
     The verification verdict is rate-independent, so it is memoized per
     (sorted columns, template, detector layout) and repeat extractions cost
     O(one table construction).
     """
     if not template.usable:
-        return None
+        return "the template is not usable for tiling"
     if dem_structure_key(params) != template.structure_key:
-        return None
+        return "the noise structure differs from the template's"
     if dict(initial_occupancy) != template.initial_occupancy:
-        return None
+        return "the initial occupancy differs from the template's"
     # The verification verdict is memoized *on* the sorted-columns object:
     # the circuit rebuilds that object on any mutation, so a stale entry is
     # unreachable by construction and the memo dies with its compile.
@@ -1120,11 +1334,11 @@ def _extract_periodic(
         or entry.observables != observables
     ):
         entry = _verify_periodic(circuit, detectors, observables, template)
-        if entry is None:
-            return None
+        if isinstance(entry, str):
+            return entry
         cols_b._periodic_check = entry
     if params.t2_us is not None and not entry.idle_gaps_ok(cols_b):
-        return None
+        return "tiled idle-gap durations differ from the template's"
     return entry.table()
 
 
@@ -1133,8 +1347,8 @@ def _verify_periodic(
     detectors: list[list[str]],
     observables: list[list[str]],
     template: PeriodicTemplate,
-) -> _TargetCheck | None:
-    """Prove ``circuit`` is a tiling of ``template``, or ``None``.
+) -> _TargetCheck | str:
+    """Prove ``circuit`` is a tiling of ``template``, or say what differs.
 
     The checks (in order): a single periodic replay region with the
     template's ``B`` and ``h``; bitwise-identical prologue + first two
@@ -1149,17 +1363,17 @@ def _verify_periodic(
     geom_s = template.geom
     geom_b = _replay_geometry(circuit)
     if geom_b is None:
-        return None
+        return "no periodic replay region (one replay block of at least 4 copies)"
     B, h = geom_s["B"], geom_s["h"]
     if geom_b["B"] != B or geom_b["h"] != h:
-        return None
+        return "the replay block's size or start differs from the template's"
     cols_s, cols_b = geom_s["cols"], geom_b["cols"]
     tau_s, tau_b = geom_s["tau"], geom_b["tau"]
     n_s, n_b = geom_s["n"], geom_b["n"]
     c_s, c_b = geom_s["C"], geom_b["C"]
     meta_b = geom_b["meta"]
     if n_b - tau_b != n_s - tau_s:
-        return None
+        return "the epilogue length differs from the template's"
     head = h + 2 * B
 
     # Bitwise-identical prologue + W0 + W1 (rows, times, and labels).
@@ -1172,18 +1386,17 @@ def _verify_periodic(
         (cols_b.duration, cols_s.duration),
     ):
         if not np.array_equal(a_b[:head], a_s[:head]):
-            return None
+            return "the prologue rows differ from the template's"
     labs_b = cols_b.labels
     # Scan the target's labels once at C speed; Python-level work below is
     # bounded by the template's fixed-size head/tail label views.
     items_b = list(labs_b.items())
     pos_b = np.fromiter(labs_b.keys(), dtype=np.int64, count=len(labs_b))
     head_s = template.head_labels
-    if int((pos_b < head).sum()) != len(head_s):
-        return None
-    for p, l in head_s.items():
-        if labs_b.get(p) != l:
-            return None
+    if int((pos_b < head).sum()) != len(head_s) or any(
+        labs_b.get(p) != l for p, l in head_s.items()
+    ):
+        return "the prologue labels differ from the template's"
 
     # Bitwise-identical epilogue rows (up to the position shift d_pos).
     d_pos = tau_b - tau_s
@@ -1195,14 +1408,14 @@ def _verify_periodic(
         (cols_b.duration, cols_s.duration),
     ):
         if not np.array_equal(a_b[tau_b:], a_s[tau_s:]):
-            return None
+            return "the epilogue rows differ from the template's"
     tail_b = {
         items_b[i][0] - tau_b: items_b[i][1]
         for i in np.nonzero(pos_b >= tau_b)[0]
     }
     tail_s = template.tail_label_offsets
     if tail_b.keys() != tail_s.keys():
-        return None
+        return "the epilogue labels differ from the template's"
     tail_label = {tail_s[o]: tail_b[o] for o in tail_s}
 
     # Label translation: epilogue labels by position, replay labels by a
@@ -1235,20 +1448,20 @@ def _verify_periodic(
             else (meta_b.label_maps[k2 - 1].get(kb[1]) if 1 <= k2 <= c_b else None)
         )
         if expect != big_lab:
-            return None
+            return "epilogue labels do not translate by whole replay copies"
 
     # Observables must be the template's observables, translated.
     if len(observables) != len(template.observables):
-        return None
+        return "the observable count differs from the template's"
     for obs_s, obs_b in zip(template.observables, observables):
         translated = [translate_label(lab) for lab in obs_s]
         if None in translated or frozenset(translated) != frozenset(obs_b):
-            return None
+            return "the observables are not the template's, translated"
 
     # Detector machinery on the target side.
     index_b = _detector_index(detectors)
     if index_b is None:
-        return None
+        return "two detectors share one label set"
     dnext_b = _detector_shift_map(detectors, index_b, _label_next(meta_b))
 
     # Early detector ids (everything prologue/W0/W1 footprints reference)
@@ -1257,22 +1470,22 @@ def _verify_periodic(
     early_ids = {d for fp in template.table.footprints[: template.i_gen] for d in fp}
     for i in early_ids:
         if i >= len(detectors) or index_b.get(frozenset(det_s[i])) != i:
-            return None
+            return "early detector ids differ from the template's"
 
     # Footprint translation chains: W_j ids are W1 ids pushed j-1 copies
     # forward; every step must stay a real detector and stay ascending
     # within each footprint (the oracle emits sorted tuples).
     n_win = c_b - 3  # generated windows W_1 .. W_{C-3}; W_0 lives in the head
     if n_win < 1:
-        return None
+        return "the circuit has no bulk window to tile"
     ids = template.g_flat_ids
     intra = template.g_intra
     for _ in range(n_win - 1):
         ids = dnext_b[ids] if ids.size else ids
         if ids.size and ids.min() < 0:
-            return None
+            return "a tiled footprint leaves the detector set"
         if intra.size and np.any(ids[intra + 1] <= ids[intra]):
-            return None
+            return "a tiled footprint is out of order"
 
     # W1 readout labels: tiling generates window j's labels from the
     # target's label maps; at j=1 that must reproduce the template's own
@@ -1282,10 +1495,8 @@ def _verify_periodic(
         if kb is None:
             continue
         k, base = kb
-        if k + n_win - 2 >= c_b:
-            return None
-        if meta_b.label_maps[k - 1].get(base) != s.label:
-            return None
+        if k + n_win - 2 >= c_b or meta_b.label_maps[k - 1].get(base) != s.label:
+            return "bulk readout labels do not tile"
 
     # Epilogue translation: site labels and detector footprints.
     det_big_of: dict[int, int] = {}
@@ -1302,7 +1513,7 @@ def _verify_periodic(
     for fp in template.t_fps:
         mapped = [resolve_tail_det(i) for i in fp]
         if None in mapped:
-            return None
+            return "an epilogue footprint does not translate"
         tail_fps.append(tuple(sorted(mapped)))
     tail_labels: list[str | None] = []
     for s in template.t_sites:
@@ -1313,7 +1524,7 @@ def _verify_periodic(
         if label is None and s.label == f"m?{s.index}":
             label = f"m?{s.index + d_pos}"
         if label is None:
-            return None
+            return "an epilogue readout label does not translate"
         tail_labels.append(label)
 
     valid = np.nonzero(dnext_b >= 0)[0]
@@ -1382,8 +1593,8 @@ class DetectorErrorModel:
         Detector ``d`` fires when an odd number of its mechanisms fire:
         ``0.5 * (1 - prod_m (1 - 2 p_m))`` over the mechanisms touching it.
         One unbuffered ``np.multiply.at`` accumulation in mechanism order —
-        bit-identical to the per-mechanism loop it replaced
-        (:meth:`_detection_rates_loop`, kept as the test oracle).
+        bit-identical to the per-mechanism loop it replaced (kept as a test
+        oracle in ``tests/oracles/dem.py``).
         """
         prod = np.ones(self.n_detectors)
         lengths = np.fromiter(
@@ -1397,18 +1608,11 @@ class DetectorErrorModel:
         np.multiply.at(prod, flat, np.repeat(1.0 - 2.0 * self.probs, lengths))
         return 0.5 * (1.0 - prod)
 
-    def _detection_rates_loop(self) -> np.ndarray:
-        prod = np.ones(self.n_detectors)
-        for p, dets in zip(self.probs, self.detectors):
-            for d in dets:
-                prod[d] *= 1.0 - 2.0 * p
-        return 0.5 * (1.0 - prod)
-
     def observable_rates(self) -> np.ndarray:
         """Analytic marginal flip rate per observable (raw, undecoded).
 
-        Same accumulation scheme as :meth:`detection_rates`; the loop
-        oracle survives as :meth:`_observable_rates_loop`.
+        Same accumulation scheme as :meth:`detection_rates`, with the same
+        loop oracle in ``tests/oracles/dem.py``.
         """
         prod = np.ones(self.n_observables)
         factors = 1.0 - 2.0 * self.probs
@@ -1416,14 +1620,6 @@ class DetectorErrorModel:
         for o in range(self.n_observables):
             hit = (masks >> np.uint64(o)) & np.uint64(1) != 0
             np.multiply.at(prod, np.full(int(hit.sum()), o, dtype=np.int64), factors[hit])
-        return 0.5 * (1.0 - prod)
-
-    def _observable_rates_loop(self) -> np.ndarray:
-        prod = np.ones(self.n_observables)
-        for p, mask in zip(self.probs, self.observables):
-            for o in range(self.n_observables):
-                if int(mask) >> o & 1:
-                    prod[o] *= 1.0 - 2.0 * p
         return 0.5 * (1.0 - prod)
 
     def to_dict(self) -> dict:

@@ -11,12 +11,17 @@ graph predicts, and probabilities/footprints are well-formed.
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.dem import assert_matches_forward_walk, experiment_fault_table
 
-from repro.decode.memory import MemoryExperiment
+import repro.sim.dem as dem_module
+from repro.decode.memory import MemoryExperiment, _periodic_template
+from repro.hardware.circuit import HardwareCircuit
 from repro.sim.dem import (
     DemExtractionError,
     dem_structure_key,
@@ -34,6 +39,18 @@ def exp3():
 @pytest.fixture(scope="module")
 def exp3x():
     return MemoryExperiment(distance=3, basis="X")
+
+
+def full_table(exp, params, detectors=None, observables=None, **kwargs):
+    """A fresh extraction of ``exp``'s compile, bypassing every cache."""
+    return extract_fault_table(
+        exp.compiled.circuit,
+        exp.compiled.initial_occupancy,
+        params,
+        exp.detector_labels if detectors is None else detectors,
+        [exp.observable_labels] if observables is None else observables,
+        **kwargs,
+    )
 
 
 def fresh_dem(exp, noise, keep_sources=False):
@@ -144,6 +161,62 @@ class TestStructure:
                 [],
                 [],
             )
+
+    def test_all_zero_structure_gives_an_empty_table(self, exp3):
+        table = full_table(exp3, NoiseParams(), method="full")
+        assert table.n_sites == 0
+        assert table.sites == [] and table.footprints == []
+        assert table.observables.shape == (0,)
+        assert table.n_detectors == exp3.n_detectors
+        assert table.n_observables == 1
+
+    @pytest.mark.parametrize("where", ["detector", "observable"])
+    def test_unknown_measurement_label_raises(self, exp3, where):
+        detectors = [list(labels) for labels in exp3.detector_labels]
+        observables = [list(exp3.observable_labels)]
+        (detectors if where == "detector" else observables)[-1].append("never-measured")
+        with pytest.raises(
+            ValueError,
+            match="^detector references unknown measurement label 'never-measured'$",
+        ):
+            full_table(exp3, NoiseModel.uniform(1e-3).params, detectors, observables)
+
+    def test_unknown_instruction_raises(self):
+        circuit = HardwareCircuit()
+        circuit.append("Prepare_Z", (0,), 0.0, 1.0)
+        circuit.append("Frobnicate", (0,), 1.0, 1.0)
+        circuit.append("Measure_Z", (0,), 2.0, 1.0, label="m0")
+        with pytest.raises(DemExtractionError, match="unknown instruction 'Frobnicate'"):
+            extract_fault_table(
+                circuit, {0: 0}, NoiseModel.uniform(1e-3).params, [["m0"]], []
+            )
+
+    def test_hash_collisions_fall_back_to_an_exact_unique(self, exp3, monkeypatch):
+        # A zero multiplier hashes every row alike, forcing the byte-wise path.
+        noise = NoiseModel.preset("near_term")
+        monkeypatch.setattr(dem_module, "_MIX1", np.uint64(0))
+        table = full_table(exp3, noise.params, method="full")
+        assert_matches_forward_walk(table, experiment_fault_table(exp3, noise), noise.params)
+
+    def test_periodic_fallback_is_logged(self, caplog):
+        # A 3-round memory has too few replay copies to tile, so "auto"
+        # falls back to the full walk and says why.
+        noise = NoiseModel.preset("near_term")
+        exp = MemoryExperiment(distance=3, rounds=3)
+        template = _periodic_template(3, 3, "Z", None, noise.params)
+        assert template is not None and template.usable
+        with caplog.at_level(logging.DEBUG, logger="repro.sim.dem"):
+            table = full_table(exp, noise.params, template=template)
+        assert table.method == "full"
+        records = [r for r in caplog.records if r.name == "repro.sim.dem"]
+        assert len(records) == 1
+        assert records[0].levelno == logging.DEBUG
+        assert records[0].getMessage() == (
+            "periodic DEM extraction fell back to the full walk: "
+            "no periodic replay region (one replay block of at least 4 copies)"
+        )
+        oracle = experiment_fault_table(exp, noise)
+        assert_matches_forward_walk(table, oracle, noise.params)
 
     def test_to_dict_round_trips_mechanisms(self, exp3):
         dem = exp3.detector_error_model(NoiseModel.uniform(1e-3))

@@ -6,9 +6,11 @@ the full instruction walk produces — same site objects, same footprints,
 same float64 probability bits — because decoder tie-breaks and checkpoint
 content-hashes are sensitive to the last ulp.  This suite locks that down
 across bases, distances, round counts, and noise structures (including a
-hypothesis sweep over random rate combinations), and uses the module's
-instruction-visit counters to prove the fast path walks O(prologue +
-template + epilogue) rows however many rounds the target replays.
+hypothesis sweep over random rate combinations), checks the full walk
+itself against the forward site-lane walk of ``tests/oracles/dem.py``, and
+uses the module's instruction-visit counters to prove the fast path walks
+O(prologue + template + epilogue) rows however many rounds the target
+replays.
 """
 
 from __future__ import annotations
@@ -17,6 +19,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.dem import (
+    assert_matches_forward_walk,
+    detection_rates_loop,
+    experiment_fault_table,
+    observable_rates_loop,
+)
 
 from repro.decode.memory import _TEMPLATE_ROUNDS, MemoryExperiment
 from repro.sim.dem import (
@@ -72,6 +80,8 @@ class TestBitIdentity:
         assert periodic.method == "periodic"
         full = full_walk_table(exp, noise)
         assert_tables_identical(periodic, full)
+        oracle = experiment_fault_table(exp, noise)
+        assert_matches_forward_walk(full, oracle, noise.params)
 
     def test_dem_bit_identical_with_sources(self):
         noise = NoiseModel.preset("near_term")
@@ -125,8 +135,24 @@ class TestBitIdentity:
         exp = MemoryExperiment(distance=3, rounds=rounds, basis=basis)
         exp._fault_tables.clear()
         table = exp.fault_table(noise)
-        assert_tables_identical(table, full_walk_table(exp, noise))
+        full = full_walk_table(exp, noise)
+        assert_tables_identical(table, full)
+        oracle = experiment_fault_table(exp, noise)
+        assert_matches_forward_walk(full, oracle, noise.params)
         exp._fault_tables.clear()
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("d", [9, 11])
+    def test_large_template_walks_match_forward_walk(self, d):
+        # The template compiles the cold sweep extracts at d=9 and d=11.
+        noise = NoiseModel.preset("near_term")
+        exp = MemoryExperiment(distance=d, rounds=_TEMPLATE_ROUNDS)
+        exp._fault_tables.clear()
+        table = exp.fault_table(noise)
+        oracle = experiment_fault_table(exp, noise)
+        assert_matches_forward_walk(table, oracle, noise.params)
+        dem = build_dem(table, noise.params)
+        assert np.array_equal(dem.detection_rates(), detection_rates_loop(dem))
 
 
 class TestVisitCounts:
@@ -220,8 +246,8 @@ class TestMetadataAndRates:
             build_dem(table, noise.params),
             build_dem(full_walk_table(exp, noise), noise.params),
         ):
-            assert np.array_equal(dem.detection_rates(), dem._detection_rates_loop())
-            assert np.array_equal(dem.observable_rates(), dem._observable_rates_loop())
+            assert np.array_equal(dem.detection_rates(), detection_rates_loop(dem))
+            assert np.array_equal(dem.observable_rates(), observable_rates_loop(dem))
 
     def test_kind_counts_match_between_paths(self, periodic_pair):
         exp, table, noise = periodic_pair

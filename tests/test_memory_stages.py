@@ -10,6 +10,7 @@ one-line errors instead of deep ``IndexError``/``range()`` tracebacks.
 from __future__ import annotations
 
 import pytest
+from oracles.dem import assert_matches_forward_walk, experiment_fault_table
 
 import repro.decode.memory as memory
 from repro.decode.memory import MemoryExperiment, _noise_key, _periodic_template
@@ -101,12 +102,16 @@ class TestOneDemPerRateSet:
 @pytest.mark.parametrize("basis", ["Z", "X"])
 def test_every_memory_program_extracts_a_dem(basis, simd, profile):
     """Memory programs are Clifford under every shipped profile, with and
-    without SIMD rescheduling, so the frame engine never needs a fallback."""
+    without SIMD rescheduling, so the frame engine never needs a fallback;
+    the extracted table matches the forward-walk oracle."""
     exp = MemoryExperiment(distance=3, basis=basis, simd=simd, profile=profile)
-    dem = exp.detector_error_model(NoiseModel.preset("near_term", profile=profile))
+    noise = NoiseModel.preset("near_term", profile=profile)
+    dem = exp.detector_error_model(noise)
     assert dem.n_detectors == exp.n_detectors
     assert dem.n_observables == 1
     assert dem.n_mechanisms > 0
+    oracle = experiment_fault_table(exp, noise)
+    assert_matches_forward_walk(exp.fault_table(noise), oracle, noise.params)
 
 
 class TestInputValidation:
