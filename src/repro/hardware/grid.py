@@ -222,6 +222,41 @@ class GridManager:
             return None
         return self._junction_map.get((a, b))
 
+    def classify_hops(
+        self, src: np.ndarray, dst: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Classify ``src -> dst`` hops: (is_adjacent_zone_hop, junction id or -1).
+
+        Vectorized ``dst in neighbors(src)`` (between zones) plus
+        :meth:`junction_between`: adjacency is a unit Manhattan step between
+        two zones; junction crossings are resolved per *unique* hop pair,
+        since a circuit reuses the same few corridor hops thousands of times.
+        Shared by the validity checker and the SIMD scheduler.
+        """
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        npos = self.n_positions
+        for sites in (src, dst):
+            bad = (sites < 0) | (sites >= npos)
+            if bad.any():
+                raise ValueError(f"qsite {int(sites[bad][0])} out of range")
+        r0, c0 = np.divmod(src, self.width)
+        r1, c1 = np.divmod(dst, self.width)
+        zone = self.zone_mask()
+        # Unit steps between two zones are always between *existing* sites.
+        adjacent = (np.abs(r1 - r0) + np.abs(c1 - c0) == 1) & zone[src] & zone[dst]
+        junction = np.full(len(src), -1, dtype=np.int64)
+        todo = np.flatnonzero(~adjacent)
+        if len(todo):
+            pair = src[todo] * np.int64(npos) + dst[todo]
+            unique, inverse = np.unique(pair, return_inverse=True)
+            resolved = np.empty(len(unique), dtype=np.int64)
+            for k, p in enumerate(unique.tolist()):
+                j = self.junction_between(p // npos, p % npos)
+                resolved[k] = -1 if j is None else j
+            junction[todo] = resolved[inverse]
+        return adjacent, junction
+
     def gate_adjacent(self, a: int, b: int) -> bool:
         """Two-qubit gates act between lattice-adjacent trapping zones."""
         return self.is_zone(a) and self.is_zone(b) and b in self.neighbors(a)

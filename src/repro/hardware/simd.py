@@ -32,13 +32,22 @@ Scheduling model
 * **Resources** are trap sites, plus one pseudo-resource per junction for
   junction-crossing ``Move`` rows (two swaps through one junction must
   serialize, matching the validity checker's junction rule).
-* The scheduler is a readiness-driven list scheduler: per-resource
-  last-user chains define the dependency DAG; at each step every ready
-  transport row fires at its earliest start, then the ready laser class
-  with the earliest member start fires as one pass (chunked to
-  ``width`` members when the profile caps group width).  Ready members of
-  one class are provably resource-disjoint, so firing them together is
-  always conflict-free.
+* The scheduler is a readiness-driven list scheduler worked a *wave* at a
+  time.  Per-resource last-user chains define the dependency DAG, built as
+  arrays: ``(n, 3)`` previous-user and next-user matrices from one stable
+  argsort of the ``(resource, row)`` entries.  A row's earliest start is
+  the latest end among its predecessors, fixed once they have all fired.
+  Each step fires every ready transport row at its earliest start, wave
+  after wave, then fires the ready laser class whose earliest member can
+  start first (ties broken by mnemonic, then duration) as one pass,
+  chunked to ``width`` members when the profile caps group width.  Ready
+  members of one class are provably resource-disjoint, so firing them
+  together is always conflict-free, and the order rows are handled in
+  within a wave cannot change the outcome.  The schedule is the one the
+  original per-row scheduler (kept as the test oracle
+  ``tests/oracles/simd.py``) produced, bit for bit.  At the d=11
+  lattice-surgery CNOT (311 507 rows, ~2 000 steps) scheduling takes
+  ~0.36 s against ~1.6 s row by row (median of 5, 2-vCPU VM).
 * ``site_parallel`` (default): a pass occupies only its member sites;
   per-pass overhead extends each member's busy window.  ``pass_serial``:
   one global beam serializes passes — each pass waits for the beam and
@@ -53,12 +62,11 @@ oracle path for rescheduled circuits.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.hardware.circuit import HardwareCircuit
+from repro.hardware.circuit import HardwareCircuit, name_code
 from repro.hardware.profile import SIMD_MODES
 
 __all__ = ["SimdReport", "simd_schedule", "baseline_beam_passes", "SIMD_MODES"]
@@ -109,29 +117,81 @@ class SimdReport:
         return out
 
 
-def _laser_names(profile) -> frozenset[str]:
-    return frozenset(name for name, _ in profile.gate_times_us)
+def _check_width(width) -> None:
+    if isinstance(width, bool) or not isinstance(width, int) or width < 0:
+        raise ValueError(f"width={width!r} must be an integer >= 0 (0 = unlimited)")
 
 
-def _row_resources(grid, names, s0, s1, ns):
-    """Per-row resource tuples: sites, plus a junction pseudo-resource for
-    junction-crossing Moves (two swaps through one junction serialize)."""
-    npos = grid.n_positions
-    n = len(names)
-    resources = [()] * n
-    for i in range(n):
-        if ns[i] == 2:
-            if names[i] == "Move":
-                j = grid.junction_between(s0[i], s1[i])
-                if j is None:
-                    resources[i] = (s0[i], s1[i])
-                else:
-                    resources[i] = (s0[i], s1[i], npos + j)
-            else:
-                resources[i] = (s0[i], s1[i])
-        elif ns[i] == 1:
-            resources[i] = (s0[i],)
-    return resources
+def _laser_codes(profile) -> dict[int, str]:
+    """Interned code -> name of every laser mnemonic the profile prices."""
+    codes = {}
+    for name, _ in profile.gate_times_us:
+        code = name_code(name)
+        if code is not None:
+            codes[code] = name
+    return codes
+
+
+def _row_resources(grid, cols, is_move: np.ndarray) -> np.ndarray:
+    """``(n, 3)`` resource ids per row, -1 for none: sites, plus a junction
+    pseudo-resource ``n_positions + j`` for junction-crossing Moves (two
+    swaps through one junction serialize)."""
+    res = np.full((cols.n, 3), -1, dtype=np.int64)
+    res[:, 0] = np.where(cols.nsites >= 1, cols.site0, -1)
+    res[:, 1] = np.where(cols.nsites == 2, cols.site1, -1)
+    moves = np.flatnonzero(is_move & (cols.nsites == 2))
+    if len(moves):
+        _, junction = grid.classify_hops(cols.site0[moves], cols.site1[moves])
+        crossing = junction >= 0
+        res[moves[crossing], 2] = grid.n_positions + junction[crossing]
+    return res
+
+
+def _resource_chains(res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Previous and next user of each row's resources, ``(n, 3)`` each,
+    ``n`` for none.
+
+    A stable argsort of the ``(resource, row)`` entries puts each
+    resource's users in stream order; neighbours in a resource group are
+    one DAG edge, seen from both ends (a row listed twice in another's
+    slots is one edge counted twice on both sides).
+    """
+    n = len(res)
+    flat = res.ravel()
+    used = np.flatnonzero(flat >= 0)
+    order = used[np.argsort(flat[used], kind="stable")]
+    same = flat[order[1:]] == flat[order[:-1]]
+    before, after = order[:-1][same], order[1:][same]
+    pred = np.full(flat.shape, n, dtype=np.int64)
+    nxt = np.full(flat.shape, n, dtype=np.int64)
+    pred[after] = before // 3
+    nxt[before] = after // 3
+    return pred.reshape(n, 3), nxt.reshape(n, 3)
+
+
+def _laser_classes(cols, laser_rows: np.ndarray, laser_codes: dict[int, str]):
+    """Class id per laser row (``-1`` elsewhere) and per-class durations.
+
+    A class is one ``(mnemonic, duration)`` pair; ids follow the order of
+    those tuples, so the smallest id breaks ties the way comparing
+    ``(mnemonic, duration)`` keys does.
+    """
+    cls = np.full(cols.n, -1, dtype=np.int64)
+    if not len(laser_rows):
+        return cls, []
+    code = cols.codes[laser_rows]
+    dur = cols.duration[laser_rows]
+    order = np.lexsort((dur, code))
+    code, dur = code[order], dur[order]
+    head = np.r_[True, (code[1:] != code[:-1]) | (dur[1:] != dur[:-1])]
+    keys = [
+        (laser_codes[c], d) for c, d in zip(code[head].tolist(), dur[head].tolist())
+    ]
+    ranked = sorted(range(len(keys)), key=keys.__getitem__)
+    rank = np.empty(len(keys), dtype=np.int64)
+    rank[ranked] = np.arange(len(keys))
+    cls[laser_rows[order]] = rank[np.cumsum(head) - 1]
+    return cls, [keys[k][1] for k in ranked]
 
 
 def baseline_beam_passes(circuit: HardwareCircuit, profile, width: int = 0) -> int:
@@ -142,20 +202,21 @@ def baseline_beam_passes(circuit: HardwareCircuit, profile, width: int = 0) -> i
     This is the honest baseline — gates the original scheduler already
     started at the same instant ride one pass for free.
     """
-    if width < 0:
-        raise ValueError(f"width must be >= 0, got {width}")
+    _check_width(width)
     cols = circuit.sorted_columns()
-    laser = _laser_names(profile)
-    names = cols.names
-    t = cols.t.tolist()
-    dur = cols.duration.tolist()
-    groups: dict[tuple, int] = defaultdict(int)
-    for i in range(cols.n):
-        if names[i] in laser:
-            groups[(int(cols.codes[i]), t[i], dur[i])] += 1
-    if width:
-        return sum(-(-count // width) for count in groups.values())
-    return len(groups)
+    rows = np.flatnonzero(np.isin(cols.codes, list(_laser_codes(profile))))
+    if not len(rows):
+        return 0
+    code, t, dur = cols.codes[rows], cols.t[rows], cols.duration[rows]
+    order = np.lexsort((dur, t, code))
+    code, t, dur = code[order], t[order], dur[order]
+    head = np.r_[
+        True, (code[1:] != code[:-1]) | (t[1:] != t[:-1]) | (dur[1:] != dur[:-1])
+    ]
+    if not width:
+        return int(head.sum())
+    counts = np.diff(np.r_[np.flatnonzero(head), len(rows)])
+    return int((-(-counts // width)).sum())
 
 
 def simd_schedule(
@@ -174,8 +235,7 @@ def simd_schedule(
     """
     if mode not in SIMD_MODES:
         raise ValueError(f"mode must be one of {SIMD_MODES}, got {mode!r}")
-    if width < 0:
-        raise ValueError(f"width must be >= 0, got {width}")
+    _check_width(width)
     if not (overhead_us >= 0.0 and np.isfinite(overhead_us)):
         raise ValueError(f"overhead_us must be finite and >= 0, got {overhead_us}")
 
@@ -184,122 +244,98 @@ def simd_schedule(
     if n and int(cols.nsites.max()) > 2:
         raise ValueError("simd_schedule does not support arity>2 rows")
     profile = grid.profile
-    laser = _laser_names(profile)
-    names = cols.names
-    s0 = cols.site0.tolist()
-    s1 = cols.site1.tolist()
-    ns = cols.nsites.tolist()
-    dur = cols.duration.tolist()
-    is_laser = [nm in laser for nm in names]
-
-    resources = _row_resources(grid, names, s0, s1, ns)
+    laser_codes = _laser_codes(profile)
+    is_laser = np.isin(cols.codes, list(laser_codes))
+    move_code = name_code("Move")
+    is_move = cols.codes == (-1 if move_code is None else move_code)
+    dur = cols.duration
+    cls, class_dur = _laser_classes(cols, np.flatnonzero(is_laser), laser_codes)
 
     # Dependency DAG from per-resource last-user chains: row i depends on
     # the previous user of each of its resources.  Edges follow the sorted
     # stream, so per-site order is preserved by construction.
-    succs: dict[int, list[int]] = defaultdict(list)
-    indeg = [0] * n
-    last_user: dict[int, int] = {}
-    for i in range(n):
-        preds = set()
-        for res in resources[i]:
-            prev = last_user.get(res)
-            if prev is not None:
-                preds.add(prev)
-            last_user[res] = i
-        indeg[i] = len(preds)
-        for p in preds:
-            succs[p].append(i)
+    pred, nxt = _resource_chains(_row_resources(grid, cols, is_move))
+    indeg = (pred < n).sum(axis=1)
 
-    avail: dict[int, float] = defaultdict(float)
-    est = [0.0] * n  # earliest start, finalized when the row becomes ready
-    new_t = [0.0] * n
+    # end[i] is the time row i frees its resources; end[n] = 0.0 pads
+    # missing predecessors.  A row's predecessors are the last users of its
+    # resources, so its earliest start is fixed once they have all fired.
+    end = np.zeros(n + 1, dtype=np.float64)
+    est = np.zeros(n, dtype=np.float64)
+    new_t = np.zeros(n, dtype=np.float64)
+    ready_laser = np.empty(0, dtype=np.int64)
+
+    def admit(rows: np.ndarray) -> np.ndarray:
+        """Fix the earliest start of newly ready rows; pool the laser rows
+        and return the transport rows."""
+        nonlocal ready_laser
+        m = end[pred[rows]].max(axis=1)
+        est[rows] = np.where(m > 0.0, m, 0.0)
+        laser = is_laser[rows]
+        ready_laser = np.concatenate((ready_laser, rows[laser]))
+        return rows[~laser]
+
+    def release(fired: np.ndarray) -> np.ndarray:
+        """Retire ``fired``; admit the successors this makes ready."""
+        hit = nxt[fired].ravel()
+        hit = hit[hit < n]
+        np.subtract.at(indeg, hit, 1)
+        return admit(np.unique(hit[indeg[hit] == 0]))
+
+    transport = admit(np.flatnonzero(indeg == 0))
     beam_free = 0.0
     n_passes = 0
-    n_laser = sum(is_laser)
     max_group = 0
-    ready_transport: list[int] = []
-    ready_laser: dict[tuple[str, float], list[int]] = defaultdict(list)
-
-    def release(i: int) -> None:
-        earliest = 0.0
-        for res in resources[i]:
-            a = avail[res]
-            if a > earliest:
-                earliest = a
-        est[i] = earliest
-        if is_laser[i]:
-            ready_laser[(names[i], dur[i])].append(i)
-        else:
-            ready_transport.append(i)
-
-    for i in range(n):
-        if indeg[i] == 0:
-            release(i)
-
     scheduled = 0
     while scheduled < n:
-        # Transport is not beam-limited: drain every ready Move/Load at its
-        # earliest start (in sorted-stream order, for determinism) before
-        # committing the next pass, so pass groups form as wide as possible.
-        while ready_transport:
-            batch = sorted(ready_transport)
-            ready_transport.clear()
-            for i in batch:
-                start = est[i]
-                new_t[i] = start
-                end = start + dur[i]
-                for res in resources[i]:
-                    avail[res] = end
-                scheduled += 1
-                for nxt in succs[i]:
-                    indeg[nxt] -= 1
-                    if indeg[nxt] == 0:
-                        release(nxt)
+        # Transport is not beam-limited: every ready Move/Load fires at its
+        # earliest start, wave after wave, before the next pass is
+        # committed, so pass groups form as wide as possible.
+        while len(transport):
+            start = est[transport]
+            new_t[transport] = start
+            end[transport] = start + dur[transport]
+            scheduled += len(transport)
+            transport = release(transport)
         if scheduled >= n:
             break
         # Fire the laser class whose earliest ready member can start first
         # (ties broken by mnemonic then duration, for determinism).
-        best_key = None
-        best_rank = None
-        for key, rows in ready_laser.items():
-            if not rows:
-                continue
-            rank = (min(est[i] for i in rows), key[0], key[1])
-            if best_rank is None or rank < best_rank:
-                best_rank, best_key = rank, key
-        if best_key is None:  # pragma: no cover - the DAG is acyclic
+        if not len(ready_laser):  # pragma: no cover - the DAG is acyclic
             raise RuntimeError("SIMD scheduler deadlocked with unscheduled rows")
-        members = sorted(ready_laser.pop(best_key))
-        duration = best_key[1]
-        cap = width if width else len(members)
-        for c0 in range(0, len(members), cap):
-            chunk = members[c0 : c0 + cap]
-            start = max(est[i] for i in chunk)
-            if mode == "pass_serial":
+        ready_est = est[ready_laser]
+        ready_cls = cls[ready_laser]
+        k = int(ready_cls[ready_est == ready_est.min()].min())
+        fire = ready_cls == k
+        members = np.sort(ready_laser[fire])
+        ready_laser = ready_laser[~fire]
+        duration = class_dur[k]
+        size = len(members)
+        cap = width if width else size
+        heads = np.arange(0, size, cap)
+        starts = np.maximum.reduceat(est[members], heads)
+        if mode == "pass_serial":
+            busy = np.empty_like(starts)
+            for c, start in enumerate(starts.tolist()):
                 if beam_free > start:
                     start = beam_free
                 beam_free = start + duration + overhead_us
-                busy_end = start + duration
-            else:
-                busy_end = start + duration + overhead_us
-            for i in chunk:
-                new_t[i] = start
-                for res in resources[i]:
-                    avail[res] = busy_end
-                scheduled += 1
-            n_passes += 1
-            if len(chunk) > max_group:
-                max_group = len(chunk)
-            for i in chunk:
-                for nxt in succs[i]:
-                    indeg[nxt] -= 1
-                    if indeg[nxt] == 0:
-                        release(nxt)
+                starts[c] = start
+                busy[c] = start + duration
+        else:
+            busy = starts + duration + overhead_us
+        widths = np.full(len(heads), cap)
+        widths[-1] = size - heads[-1]
+        new_t[members] = np.repeat(starts, widths)
+        end[members] = np.repeat(busy, widths)
+        scheduled += size
+        n_passes += len(heads)
+        max_group = max(max_group, int(widths[0]))
+        transport = release(members)
 
-    t_arr = np.array(new_t, dtype=np.float64)
-    new = HardwareCircuit.from_columns(cols, t=t_arr, measure_count=circuit._measure_count)
+    new = HardwareCircuit.from_columns(cols, t=new_t, measure_count=circuit._measure_count)
 
+    n_laser = int(is_laser.sum())
     mean_group = n_laser / n_passes if n_passes else 0.0
     capacity = width if width else max_group
     report = SimdReport(
@@ -311,7 +347,7 @@ def simd_schedule(
         mean_group_width=mean_group,
         utilization=mean_group / capacity if capacity else 0.0,
         baseline_makespan_us=circuit.makespan,
-        makespan_us=float(np.max(t_arr + cols.duration)) if n else 0.0,
+        makespan_us=float(np.max(new_t + cols.duration)) if n else 0.0,
         width=width,
         mode=mode,
         overhead_us=overhead_us,

@@ -21,11 +21,14 @@ Two implementations share the contract:
   ion-busy and junction-overlap constraints with sorted-array sweeps, and
   only the occupancy state machine (who is where, in time order) runs as a
   tight scalar loop over the move/load rows.  Any detected violation defers
-  to the reference checker so the raised error is identical.
+  to the reference checker so the raised error is identical, and logs
+  one DEBUG record naming the failed check on the
+  ``repro.hardware.validity`` logger.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +44,8 @@ __all__ = [
 ]
 
 _EPS = 1e-9
+
+_LOG = logging.getLogger(__name__)
 
 
 class CircuitValidityError(RuntimeError):
@@ -194,38 +199,6 @@ def check_circuit_reference(
     return report
 
 
-def _move_geometry(
-    grid: GridManager, src: np.ndarray, dst: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Classify move hops: (is_adjacent_zone_hop, junction id or -1).
-
-    Vectorized equivalent of ``dst in grid.neighbors(src)`` plus
-    ``grid.junction_between(src, dst)``: adjacency is a unit Manhattan step
-    between existing sites; junction crossings are resolved through the
-    grid's flanking-pair lookup.
-    """
-    width = grid.width
-    r0, c0 = np.divmod(src, width)
-    r1, c1 = np.divmod(dst, width)
-    manhattan = np.abs(r1 - r0) + np.abs(c1 - c0)
-    zone = grid.zone_mask()
-    # Unit steps between two zones are always between *existing* sites.
-    adjacent = (manhattan == 1) & zone[src] & zone[dst]
-    junction = np.full(len(src), -1, dtype=np.int64)
-    # Junction resolution per *unique* hop pair: a circuit reuses the same
-    # few corridor hops thousands of times.
-    todo = np.nonzero(~adjacent)[0]
-    if len(todo):
-        pair = src[todo] * np.int64(grid.n_positions) + dst[todo]
-        unique, inverse = np.unique(pair, return_inverse=True)
-        resolved = np.empty(len(unique), dtype=np.int64)
-        for k, p in enumerate(unique.tolist()):
-            j = grid.junction_between(p // grid.n_positions, p % grid.n_positions)
-            resolved[k] = -1 if j is None else j
-        junction[todo] = resolved[inverse]
-    return adjacent, junction
-
-
 def check_circuit(
     grid: GridManager,
     circuit: HardwareCircuit,
@@ -256,14 +229,15 @@ def check_circuit(
     t, dur = cols.t, cols.duration
     end = t + dur
 
-    def fail() -> ValidityReport:
+    def fail(reason: str) -> ValidityReport:
         # Re-run the reference replay: it raises the chronologically-first
         # violation with the exact legacy message.  (Returning its report
         # also covers the impossible false-positive case.)
+        _LOG.debug("columnar validity check fell back to the reference replay: %s", reason)
         return check_circuit_reference(grid, circuit, initial_occupancy)
 
     if (site0 >= grid.n_positions).any() or (site1 >= grid.n_positions).any():
-        return fail()
+        return fail("site index out of range")
 
     codes = cols.codes
 
@@ -281,17 +255,17 @@ def check_circuit(
         (nsites[is_move | is_zz] != 2).any()
         or (nsites[is_load | is_single] != 1).any()
     ):
-        return fail()
+        return fail("wrong arity")
     zone = grid.zone_mask()
     if is_load.any() and not zone[site0[is_load]].all():
-        return fail()
+        return fail("load onto a non-zone site")
     if is_zz.any():
         a, b = site0[is_zz], site1[is_zz]
         r0, c0 = np.divmod(a, grid.width)
         r1, c1 = np.divmod(b, grid.width)
         gate_ok = (np.abs(r1 - r0) + np.abs(c1 - c0) == 1) & zone[a] & zone[b]
         if not gate_ok.all():
-            return fail()
+            return fail("ZZ not between two adjacent zones")
 
     # --- move legality: zones, single hops, exact durations --------------
     move_idx = np.nonzero(is_move)[0]
@@ -299,15 +273,15 @@ def check_circuit(
     if len(move_idx):
         src, dst = site0[move_idx], site1[move_idx]
         if not (zone[src] & zone[dst]).all():
-            return fail()
-        adjacent, junction = _move_geometry(grid, src, dst)
+            return fail("move endpoint off a zone")
+        adjacent, junction = grid.classify_hops(src, dst)
         crossing = junction >= 0
         if not (adjacent | crossing).all():
-            return fail()
+            return fail("move is neither a single hop nor a junction crossing")
         if (np.abs(dur[move_idx[adjacent]] - grid.move_us) > _EPS).any():
-            return fail()
+            return fail("adjacent-zone move with the wrong duration")
         if (np.abs(dur[move_idx[crossing]] - grid.junction_hop_us) > _EPS).any():
-            return fail()
+            return fail("junction crossing with the wrong duration")
         junction_ids = junction[crossing]
         # Junction exclusivity: within each junction's crossings (already in
         # time order), each must start after the previous one ended.
@@ -316,7 +290,7 @@ def check_circuit(
         jt, je = t[cross_rows][order], end[cross_rows][order]
         same = junction_ids[order][1:] == junction_ids[order][:-1]
         if (same & (jt[1:] + _EPS < je[:-1])).any():
-            return fail()
+            return fail("overlapping crossings of one junction")
 
     # --- per-site event sweep (fully vectorized) -------------------------
     # Flatten the replay into one entry stream: every row contributes an
@@ -397,7 +371,7 @@ def check_circuit(
     same_site = s_site[1:] == s_site[:-1]
     # Interval chaining: busy-ion and site-vacancy violations in one test.
     if (same_site & (s_t[1:] + _EPS < s_end[:-1])).any():
-        return fail()
+        return fail("site busy (ion busy or site not vacated)")
     # Episode alternation via a segmented running occupancy count.
     new_group = np.r_[True, ~same_site]
     grp_id = np.cumsum(new_group) - 1
@@ -405,9 +379,9 @@ def check_circuit(
     base = (csum - s_delta)[new_group]
     count = csum - base[grp_id]
     if count.min() < 0 or count.max() > 1:
-        return fail()
+        return fail("occupancy count out of range (occupied target or empty source)")
     if ((s_delta == 0) & (count == 0)).any():
-        return fail()
+        return fail("operation on an unoccupied site")
 
     # Governing arrival per position: segmented running max of arrival
     # positions (the additive group offset keeps maxima from leaking

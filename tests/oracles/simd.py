@@ -1,0 +1,230 @@
+"""Per-row list-scheduler oracle for SIMD beam-pass scheduling.
+
+:func:`simd_schedule` is the original readiness-driven list scheduler: it
+walks the sorted instruction stream one row at a time, builds the
+per-resource last-user dependency DAG as Python dicts, and fires ready
+transport rows and same-``(mnemonic, duration)`` laser classes in turn.
+:func:`baseline_beam_passes` is the matching loop-form baseline count.
+``repro.hardware.simd`` now schedules whole waves with numpy; both must
+produce bit-identical start times and equal :class:`SimdReport` values.
+"""
+
+from __future__ import annotations
+
+from collections import defaultdict
+
+import numpy as np
+
+from repro.hardware.circuit import HardwareCircuit
+from repro.hardware.profile import SIMD_MODES
+from repro.hardware.simd import SimdReport
+
+
+def _laser_names(profile) -> frozenset[str]:
+    return frozenset(name for name, _ in profile.gate_times_us)
+
+
+def row_resources(grid, names, s0, s1, ns):
+    """Per-row resource tuples: sites, plus a junction pseudo-resource for
+    junction-crossing Moves (two swaps through one junction serialize)."""
+    npos = grid.n_positions
+    n = len(names)
+    resources = [()] * n
+    for i in range(n):
+        if ns[i] == 2:
+            if names[i] == "Move":
+                j = grid.junction_between(s0[i], s1[i])
+                if j is None:
+                    resources[i] = (s0[i], s1[i])
+                else:
+                    resources[i] = (s0[i], s1[i], npos + j)
+            else:
+                resources[i] = (s0[i], s1[i])
+        elif ns[i] == 1:
+            resources[i] = (s0[i],)
+    return resources
+
+
+def baseline_beam_passes(circuit: HardwareCircuit, profile, width: int = 0) -> int:
+    """Beam passes the *unscheduled* circuit needs: distinct
+    ``(mnemonic, start, duration)`` groups of laser rows, chunked to
+    ``width`` members when the hardware caps group width (0 = unlimited).
+
+    This is the honest baseline — gates the original scheduler already
+    started at the same instant ride one pass for free.
+    """
+    if width < 0:
+        raise ValueError(f"width must be >= 0, got {width}")
+    cols = circuit.sorted_columns()
+    laser = _laser_names(profile)
+    names = cols.names
+    t = cols.t.tolist()
+    dur = cols.duration.tolist()
+    groups: dict[tuple, int] = defaultdict(int)
+    for i in range(cols.n):
+        if names[i] in laser:
+            groups[(int(cols.codes[i]), t[i], dur[i])] += 1
+    if width:
+        return sum(-(-count // width) for count in groups.values())
+    return len(groups)
+
+
+def simd_schedule(
+    circuit: HardwareCircuit,
+    grid,
+    width: int = 0,
+    mode: str = "site_parallel",
+    overhead_us: float = 0.0,
+) -> tuple[HardwareCircuit, SimdReport]:
+    """Reschedule ``circuit`` into SIMD beam passes on ``grid``.
+
+    ``width`` caps members per pass (0 = unlimited), ``mode`` selects the
+    beam timing discipline (:data:`SIMD_MODES`), ``overhead_us`` is the
+    per-pass setup cost.  Returns the retimed circuit (same rows, same
+    per-site order, new start times) and a :class:`SimdReport`.
+    """
+    if mode not in SIMD_MODES:
+        raise ValueError(f"mode must be one of {SIMD_MODES}, got {mode!r}")
+    if width < 0:
+        raise ValueError(f"width must be >= 0, got {width}")
+    if not (overhead_us >= 0.0 and np.isfinite(overhead_us)):
+        raise ValueError(f"overhead_us must be finite and >= 0, got {overhead_us}")
+
+    cols = circuit.sorted_columns()
+    n = cols.n
+    if n and int(cols.nsites.max()) > 2:
+        raise ValueError("simd_schedule does not support arity>2 rows")
+    profile = grid.profile
+    laser = _laser_names(profile)
+    names = cols.names
+    s0 = cols.site0.tolist()
+    s1 = cols.site1.tolist()
+    ns = cols.nsites.tolist()
+    dur = cols.duration.tolist()
+    is_laser = [nm in laser for nm in names]
+
+    resources = row_resources(grid, names, s0, s1, ns)
+
+    # Dependency DAG from per-resource last-user chains: row i depends on
+    # the previous user of each of its resources.  Edges follow the sorted
+    # stream, so per-site order is preserved by construction.
+    succs: dict[int, list[int]] = defaultdict(list)
+    indeg = [0] * n
+    last_user: dict[int, int] = {}
+    for i in range(n):
+        preds = set()
+        for res in resources[i]:
+            prev = last_user.get(res)
+            if prev is not None:
+                preds.add(prev)
+            last_user[res] = i
+        indeg[i] = len(preds)
+        for p in preds:
+            succs[p].append(i)
+
+    avail: dict[int, float] = defaultdict(float)
+    est = [0.0] * n  # earliest start, finalized when the row becomes ready
+    new_t = [0.0] * n
+    beam_free = 0.0
+    n_passes = 0
+    n_laser = sum(is_laser)
+    max_group = 0
+    ready_transport: list[int] = []
+    ready_laser: dict[tuple[str, float], list[int]] = defaultdict(list)
+
+    def release(i: int) -> None:
+        earliest = 0.0
+        for res in resources[i]:
+            a = avail[res]
+            if a > earliest:
+                earliest = a
+        est[i] = earliest
+        if is_laser[i]:
+            ready_laser[(names[i], dur[i])].append(i)
+        else:
+            ready_transport.append(i)
+
+    for i in range(n):
+        if indeg[i] == 0:
+            release(i)
+
+    scheduled = 0
+    while scheduled < n:
+        # Transport is not beam-limited: drain every ready Move/Load at its
+        # earliest start (in sorted-stream order, for determinism) before
+        # committing the next pass, so pass groups form as wide as possible.
+        while ready_transport:
+            batch = sorted(ready_transport)
+            ready_transport.clear()
+            for i in batch:
+                start = est[i]
+                new_t[i] = start
+                end = start + dur[i]
+                for res in resources[i]:
+                    avail[res] = end
+                scheduled += 1
+                for nxt in succs[i]:
+                    indeg[nxt] -= 1
+                    if indeg[nxt] == 0:
+                        release(nxt)
+        if scheduled >= n:
+            break
+        # Fire the laser class whose earliest ready member can start first
+        # (ties broken by mnemonic then duration, for determinism).
+        best_key = None
+        best_rank = None
+        for key, rows in ready_laser.items():
+            if not rows:
+                continue
+            rank = (min(est[i] for i in rows), key[0], key[1])
+            if best_rank is None or rank < best_rank:
+                best_rank, best_key = rank, key
+        if best_key is None:  # pragma: no cover - the DAG is acyclic
+            raise RuntimeError("SIMD scheduler deadlocked with unscheduled rows")
+        members = sorted(ready_laser.pop(best_key))
+        duration = best_key[1]
+        cap = width if width else len(members)
+        for c0 in range(0, len(members), cap):
+            chunk = members[c0 : c0 + cap]
+            start = max(est[i] for i in chunk)
+            if mode == "pass_serial":
+                if beam_free > start:
+                    start = beam_free
+                beam_free = start + duration + overhead_us
+                busy_end = start + duration
+            else:
+                busy_end = start + duration + overhead_us
+            for i in chunk:
+                new_t[i] = start
+                for res in resources[i]:
+                    avail[res] = busy_end
+                scheduled += 1
+            n_passes += 1
+            if len(chunk) > max_group:
+                max_group = len(chunk)
+            for i in chunk:
+                for nxt in succs[i]:
+                    indeg[nxt] -= 1
+                    if indeg[nxt] == 0:
+                        release(nxt)
+
+    t_arr = np.array(new_t, dtype=np.float64)
+    new = HardwareCircuit.from_columns(cols, t=t_arr, measure_count=circuit._measure_count)
+
+    mean_group = n_laser / n_passes if n_passes else 0.0
+    capacity = width if width else max_group
+    report = SimdReport(
+        n_rows=n,
+        n_laser_rows=n_laser,
+        baseline_passes=baseline_beam_passes(circuit, profile, width),
+        beam_passes=n_passes,
+        max_group_width=max_group,
+        mean_group_width=mean_group,
+        utilization=mean_group / capacity if capacity else 0.0,
+        baseline_makespan_us=circuit.makespan,
+        makespan_us=float(np.max(t_arr + cols.duration)) if n else 0.0,
+        width=width,
+        mode=mode,
+        overhead_us=overhead_us,
+    )
+    return new, report

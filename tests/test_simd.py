@@ -23,11 +23,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import simd as oracle
 from repro.core.compiler import TISCC
+from repro.core.router import lattice_surgery_cnot_program
 from repro.decode.memory import MemoryExperiment, memory_cache_key
 from repro.estimator.jobs import SweepCell
 from repro.estimator.report import format_resource_table
-from repro.hardware.profile import DEFAULT_PROFILE, SIMD_MODES, ProfileError, get_profile
+from repro.hardware.circuit import HardwareCircuit
+from repro.hardware.grid import JUNCTION_HOP_US, MOVE_US, GridManager
+from repro.hardware.profile import (
+    DEFAULT_PROFILE,
+    PROFILE_DIR,
+    SIMD_MODES,
+    ProfileError,
+    get_profile,
+)
 from repro.hardware.simd import baseline_beam_passes, simd_schedule
 from repro.hardware.validity import check_circuit_reference
 from repro.sim.noise import IdleClock, NoiseModel
@@ -103,6 +113,119 @@ class TestScheduleProperties:
         compiler, compiled = compiled_memory(3)
         _, report = simd_schedule(compiled.circuit, compiler.grid)
         assert report.pass_reduction >= 0.30  # acceptance floor, d=3 already ~0.47
+
+
+SHIPPED_PROFILES = ("baseline", "fast_projected", "slow_junction")
+
+
+@lru_cache(maxsize=None)
+def compiled_op(op: str, d: int, profile: str = "baseline"):
+    """One unscheduled compile of a memory patch or a lattice-surgery CNOT."""
+    if op == "CNOT":
+        compiler = TISCC(dx=d, dz=d, tile_rows=2, tile_cols=2, profile=profile)
+        program = lattice_surgery_cnot_program()
+    else:
+        compiler = TISCC(dx=d, dz=d, tile_rows=1, tile_cols=1, profile=profile)
+        basis = op[0]
+        program = [(f"Prepare{basis}", (0, 0)), (f"Measure{basis}", (0, 0))]
+    compiled = compiler.compile(program, operation=op, validate=False, estimate=False)
+    return compiler, compiled
+
+
+def assert_matches_oracle(circuit, grid, width=0, mode="site_parallel", overhead_us=0.0):
+    """Wave scheduler vs the per-row list scheduler: float64 start-time bits
+    and the full report must agree."""
+    new, report = simd_schedule(circuit, grid, width, mode, overhead_us)
+    old, expected = oracle.simd_schedule(circuit, grid, width, mode, overhead_us)
+    knobs = f"width={width} mode={mode} overhead={overhead_us}"
+    t_new = new.sorted_columns().t
+    t_old = old.sorted_columns().t
+    assert np.array_equal(t_new.view(np.int64), t_old.view(np.int64)), knobs
+    assert report.to_dict() == expected.to_dict(), knobs
+    assert new._measure_count == old._measure_count
+    return report
+
+
+class TestOracleEquivalence:
+    """The wave scheduler reproduces the list-scheduler oracle bit for bit."""
+
+    def test_shipped_profiles_are_all_covered(self):
+        shipped = {p.stem for p in PROFILE_DIR.glob("*.toml")} | {"baseline"}
+        assert shipped == set(SHIPPED_PROFILES)
+
+    @pytest.mark.parametrize("profile", SHIPPED_PROFILES)
+    @pytest.mark.parametrize("d", [3, 5])
+    @pytest.mark.parametrize("op", ["CNOT", "ZMemory", "XMemory"])
+    def test_knob_grid(self, op, d, profile):
+        compiler, compiled = compiled_op(op, d, profile)
+        for width in (0, 1, 3, 16):
+            for mode in SIMD_MODES:
+                for overhead in (0.0, 5.0):
+                    assert_matches_oracle(
+                        compiled.circuit, compiler.grid, width, mode, overhead
+                    )
+            assert baseline_beam_passes(
+                compiled.circuit, compiler.profile, width
+            ) == oracle.baseline_beam_passes(compiled.circuit, compiler.profile, width)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("d", [7, 9, 11])
+    def test_compile_surgery_shapes(self, d):
+        """The CNOT shapes the ``compile_surgery`` benchmark schedules."""
+        compiler, compiled = compiled_op("CNOT", d)
+        report = assert_matches_oracle(compiled.circuit, compiler.grid)
+        assert report.pass_reduction >= 0.30
+
+    def test_empty_circuit(self):
+        grid = GridManager(2, 2)
+        report = assert_matches_oracle(HardwareCircuit(), grid)
+        assert report.n_rows == report.beam_passes == report.baseline_passes == 0
+        assert report.makespan_us == 0.0
+
+    @pytest.mark.parametrize("mode", SIMD_MODES)
+    def test_transport_only_circuit(self, mode):
+        # Two swaps through one junction serialize; a plain hop fires at 0.
+        g = GridManager(2, 2)
+        a, b = g.index(0, 3), g.index(0, 5)
+        x = g.index(1, 4)
+        c = HardwareCircuit()
+        c.append("Move", (a, b), 0.0, JUNCTION_HOP_US)
+        c.append("Move", (x, g.index(0, 5)), 400.0, JUNCTION_HOP_US)
+        c.append("Move", (g.index(0, 1), g.index(0, 2)), 50.0, MOVE_US)
+        scheduled, report = simd_schedule(c, g, mode=mode, overhead_us=5.0)
+        assert report.beam_passes == report.n_laser_rows == 0
+        t = sorted(scheduled.sorted_columns().t.tolist())
+        assert t == [0.0, 0.0, JUNCTION_HOP_US]
+        assert_matches_oracle(c, g, mode=mode, overhead_us=5.0)
+
+    def test_arity_above_two_rejected(self):
+        g = GridManager(2, 2)
+        c = HardwareCircuit()
+        c.append("ZZ", (g.index(0, 1), g.index(0, 2), g.index(0, 3)), 0.0, 10.0)
+        with pytest.raises(ValueError, match="arity>2"):
+            simd_schedule(c, g)
+
+
+class TestWidthValidation:
+    """``width`` follows the ``HardwareProfile.simd_width`` rule."""
+
+    @pytest.mark.parametrize("width", [2.5, True, False, -1, "3", None, np.int64(3)])
+    def test_non_integer_width_rejected(self, width):
+        compiler, compiled = compiled_memory(3)
+        message = f"width={width!r} must be an integer >= 0 (0 = unlimited)"
+        with pytest.raises(ValueError) as err:
+            simd_schedule(compiled.circuit, compiler.grid, width=width)
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            baseline_beam_passes(compiled.circuit, compiler.profile, width)
+        assert str(err.value) == message
+
+    def test_integer_width_accepted(self):
+        compiler, compiled = compiled_memory(3)
+        passes = baseline_beam_passes(compiled.circuit, compiler.profile, 3)
+        assert isinstance(passes, int)
+        _, report = simd_schedule(compiled.circuit, compiler.grid, width=3)
+        assert report.width == 3 and report.max_group_width <= 3
 
 
 NOISE = NoiseModel.uniform(1.5e-3)  # t2-free: idle windows cannot enter the DEM

@@ -1,5 +1,7 @@
 """Independent validity replay and §3.4 resource estimation."""
 
+import logging
+
 import pytest
 
 from repro.hardware.circuit import HardwareCircuit
@@ -52,6 +54,29 @@ class TestValidityChecker:
         c.append("Move", (s1, s2), 0.0, 99.0)
         with pytest.raises(CircuitValidityError):
             check_circuit(g, c, {s1: 0})
+
+    def test_fallback_logs_reason_and_keeps_message(self, caplog):
+        g = self.grid()
+        s1, s2 = g.index(0, 1), g.index(0, 2)
+        c = HardwareCircuit()
+        c.append("Move", (s1, s2), 0.0, 99.0)
+        with caplog.at_level(logging.DEBUG, logger="repro.hardware.validity"):
+            with pytest.raises(CircuitValidityError) as err:
+                check_circuit(g, c, {s1: 0})
+        assert str(err.value) == "adjacent-zone move must take 5.25 µs (at 'Move 1 2 @0.000')"
+        records = [r for r in caplog.records if r.name == "repro.hardware.validity"]
+        assert [r.levelno for r in records] == [logging.DEBUG]
+        assert records[0].getMessage() == (
+            "columnar validity check fell back to the reference replay: "
+            "adjacent-zone move with the wrong duration"
+        )
+
+    def test_valid_circuit_logs_nothing(self, caplog):
+        grid, _, lq, c, occ0 = fresh_patch(3, 3)
+        lq.prepare(c, basis="Z", rounds=1)
+        with caplog.at_level(logging.DEBUG, logger="repro.hardware.validity"):
+            check_circuit(grid, c, occ0)
+        assert not [r for r in caplog.records if r.name == "repro.hardware.validity"]
 
     def test_rejects_junction_overlap(self):
         g = self.grid()
